@@ -18,7 +18,7 @@ generally far smaller than the ratio-propagated one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,19 +80,7 @@ class CrbReport:
     constants_note: str = CONSTANTS_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "snr": self.snr,
-            "frequency": self.frequency,
-            "amp_var_bound": self.amp_var_bound,
-            "amp_relvar_bound": self.amp_relvar_bound,
-            "ratio_var_bound": self.ratio_var_bound,
-            "ratio_relvar_bound": self.ratio_relvar_bound,
-            "freq_relvar_single_channel": self.freq_relvar_single_channel,
-            "freq_relvar_bound": self.freq_relvar_bound,
-            "penalty_db": self.penalty_db,
-            "constants_note": self.constants_note,
-        }
+        return asdict(self)
 
 
 def amplitude_crb(op: OperatingPoint, sigma: float):

@@ -22,8 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CONSTANTS_NOTE, OperatingPoint, freq_crb_dual
-from .experiments import ExperimentConfig, _sub_config, compare_report, read_summary_csv, render_compare_text, run_sweep
-from .omp import OmpConfig, build_dictionary, omp_recover, prepare_stacked
+from .experiments import (
+    METHODS,
+    ExperimentConfig,
+    _fmt,
+    check_methods,
+    compare_report,
+    config_from_dict,
+    config_section,
+    read_summary_csv,
+    render_compare_text,
+    run_method,
+    run_sweep,
+)
+from .omp import OmpConfig
 from .signal_core import (
     NoiseConfig,
     SamplingScheme,
@@ -32,8 +44,8 @@ from .signal_core import (
     add_noise,
     synthesize,
 )
-from .sngem import EstimationError, EstimatorConfig, estimate
-from .svgplot import PlotSpec, plot_spec_from_dict, render_chart
+from .sngem import EstimationError, EstimatorConfig
+from .svgplot import plot_spec_from_dict, save_chart
 
 OBSERVATION_COLUMNS = ("t", "x", "xdot")
 TRUTH_COLUMNS = ("tone_idx", "f_true_hz", "a_true", "phi_true_rad")
@@ -108,108 +120,66 @@ def load_json(path):
         ) from None
 
 
-def _require_keys(doc: dict, allowed: set, label: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{label} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
-    _require_keys(doc, {"band_limit", "tones", "min_separation"}, "scenario")
-    if "band_limit" not in doc or "tones" not in doc:
-        raise ValueError("scenario needs band_limit and tones")
-    tones = []
-    for i, tdoc in enumerate(doc["tones"]):
-        _require_keys(tdoc, {"amplitude", "frequency", "phase"}, f"tones[{i}]")
-        tones.append(ToneParams(**tdoc))
-    return Scenario(
-        tones=tuple(tones),
-        band_limit=doc["band_limit"],
-        min_separation=doc.get("min_separation", 0.0),
-    )
+    # Scenario.__post_init__ reads the tones, so they are built first
+    if isinstance(doc, dict) and "tones" in doc:
+        if not isinstance(doc["tones"], list):
+            raise ValueError("scenario tones must be a JSON list")
+        tones = [
+            config_from_dict(ToneParams, tdoc, f"scenario tones[{i}]")
+            for i, tdoc in enumerate(doc["tones"])
+        ]
+        doc = dict(doc, tones=tones)
+    return config_from_dict(Scenario, doc, "scenario")
 
 
 def scheme_from_dict(doc: dict) -> SamplingScheme:
-    _require_keys(
-        doc,
-        {"variant", "num_samples", "sample_rate", "base_rate", "compression", "seed"},
-        "scheme",
-    )
-    return SamplingScheme(**doc)
+    return config_from_dict(SamplingScheme, doc, "scheme")
 
 
 def noise_from_dict(doc: dict, scenario: Scenario) -> NoiseConfig:
     """Noise section: sigma_x directly, or snr_db relative to the strongest tone."""
-    _require_keys(
-        doc, {"sigma_x", "snr_db", "convention", "reference_frequency"}, "noise"
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("noise must be a JSON object")
     if ("sigma_x" in doc) == ("snr_db" in doc):
         raise ValueError("noise needs exactly one of sigma_x or snr_db")
-    if "sigma_x" in doc:
-        sigma_x = float(doc["sigma_x"])
-    else:
-        snr = 10.0 ** (float(doc["snr_db"]) / 10.0)
-        a_ref = float(np.max(scenario.amplitudes))
-        sigma_x = a_ref / math.sqrt(2.0 * snr)
-    return NoiseConfig(
-        sigma_x=sigma_x,
-        convention=doc.get("convention", "equal_snr"),
-        reference_frequency=doc.get("reference_frequency"),
-    )
+    if "snr_db" in doc:
+        doc = dict(doc)
+        snr_db = doc.pop("snr_db")
+        if not isinstance(snr_db, (int, float)):
+            raise ValueError(f"noise snr_db must be a number, got {snr_db!r}")
+        snr = 10.0 ** (float(snr_db) / 10.0)
+        doc["sigma_x"] = float(np.max(scenario.amplitudes)) / math.sqrt(2.0 * snr)
+    return config_from_dict(NoiseConfig, doc, "noise")
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
+    """The simulate command's config; sections may be given as JSON objects."""
+
     scenario: Scenario
     scheme: SamplingScheme
     noise: NoiseConfig | None = None
-    methods: tuple = ("sngem", "omp")
+    methods: tuple = METHODS
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     omp: OmpConfig = field(default_factory=OmpConfig)
 
+    def __post_init__(self):
+        if not isinstance(self.scenario, Scenario):
+            object.__setattr__(self, "scenario", scenario_from_dict(self.scenario))
+        if not isinstance(self.scheme, SamplingScheme):
+            object.__setattr__(self, "scheme", scheme_from_dict(self.scheme))
+        if self.noise is not None and not isinstance(self.noise, NoiseConfig):
+            object.__setattr__(self, "noise", noise_from_dict(self.noise, self.scenario))
+        object.__setattr__(self, "methods", check_methods(self.methods))
+        object.__setattr__(
+            self, "estimator", config_section(EstimatorConfig, self.estimator, "estimator")
+        )
+        object.__setattr__(self, "omp", config_section(OmpConfig, self.omp, "omp"))
+
 
 def simulate_config_from_dict(doc: dict) -> SimulateConfig:
-    _require_keys(
-        doc,
-        {"scenario", "scheme", "noise", "methods", "estimator", "omp"},
-        "simulate config",
-    )
-    if "scenario" not in doc or "scheme" not in doc:
-        raise ValueError("simulate config needs scenario and scheme sections")
-    scenario = scenario_from_dict(doc["scenario"])
-    scheme = scheme_from_dict(doc["scheme"])
-    noise_doc = doc.get("noise")
-    noise = None if noise_doc is None else noise_from_dict(noise_doc, scenario)
-    methods = tuple(doc.get("methods", ("sngem", "omp")))
-    unknown = set(methods) - {"sngem", "omp"}
-    if unknown or not methods:
-        raise ValueError(f"methods must be a nonempty subset of sngem/omp, got {methods}")
-    est = doc.get("estimator")
-    omp_doc = doc.get("omp")
-    return SimulateConfig(
-        scenario=scenario,
-        scheme=scheme,
-        noise=noise,
-        methods=methods,
-        estimator=(
-            EstimatorConfig()
-            if est is None
-            else _sub_config(EstimatorConfig, est, "estimator")
-        ),
-        omp=OmpConfig() if omp_doc is None else _sub_config(OmpConfig, omp_doc, "omp"),
-    )
-
-
-def _cell(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+    return config_from_dict(SimulateConfig, doc, "simulate config")
 
 
 def cmd_crb(args) -> int:
@@ -221,19 +191,9 @@ def cmd_crb(args) -> int:
                     n_samples=n, snr=10.0 ** (snr_db / 10.0), frequency=freq
                 )
                 rep = freq_crb_dual(op)
+                # the columns after (n_samples, snr_db, frequency) are CrbReport fields
                 rows.append(
-                    (
-                        n,
-                        snr_db,
-                        freq,
-                        rep.amp_var_bound,
-                        rep.amp_relvar_bound,
-                        rep.ratio_var_bound,
-                        rep.ratio_relvar_bound,
-                        rep.freq_relvar_single_channel,
-                        rep.freq_relvar_bound,
-                        rep.penalty_db,
-                    )
+                    (n, snr_db, freq, *(getattr(rep, c) for c in _CRB_COLUMNS[3:]))
                 )
     note = CONSTANTS_NOTE
     if args.csv:
@@ -241,7 +201,7 @@ def cmd_crb(args) -> int:
         print(f"# {note}")
         writer.writerow(_CRB_COLUMNS)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([_fmt(v) for v in row])
         return 0
     cells = [[f"{v:.6g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
     widths = [
@@ -275,7 +235,7 @@ def cmd_simulate(args) -> int:
         out / "observation.csv",
         OBSERVATION_COLUMNS,
         (
-            (_cell(float(t)), _cell(float(x)), _cell(float(d)))
+            (_fmt(float(t)), _fmt(float(x)), _fmt(float(d)))
             for t, x, d in zip(obs.times, obs.x, obs.xdot)
         ),
     )
@@ -283,7 +243,7 @@ def cmd_simulate(args) -> int:
         out / "truth.csv",
         TRUTH_COLUMNS,
         (
-            (_cell(i), _cell(t.frequency), _cell(t.amplitude), _cell(t.phase))
+            (_fmt(i), _fmt(t.frequency), _fmt(t.amplitude), _fmt(t.phase))
             for i, t in enumerate(cfg.scenario.tones)
         ),
     )
@@ -291,44 +251,31 @@ def cmd_simulate(args) -> int:
     est_rows = []
     for method in cfg.methods:
         try:
-            if method == "sngem":
-                result = estimate(obs, cfg.estimator, cfg.scenario.band_limit)
-                for w in result.warnings:
-                    print(f"sngem: {w}", file=sys.stderr)
-                for failure in result.failures:
-                    print(
-                        f"sngem: component at alias "
-                        f"{failure.alias_frequency:.6g} Hz failed: {failure.reason}",
-                        file=sys.stderr,
-                    )
-                for t in result.tones:
-                    est_rows.append(
-                        (
-                            method,
-                            _cell(t.frequency),
-                            _cell(t.amplitude),
-                            _cell(t.phase),
-                            _cell(t.ratio),
-                            _cell(t.f_ratio),
-                            _cell(t.fold_index),
-                            _cell(t.mirror),
-                        )
-                    )
-            else:
-                base = build_dictionary(
-                    obs.times, cfg.scenario.band_limit, cfg.omp.grid_size
-                )
-                stacked = prepare_stacked(
-                    base, obs.sigma_x, obs.sigma_xdot, cfg.omp.use_derivative_channel
-                )
-                result = omp_recover(obs, stacked, cfg.omp)
-                for t in result.tones:
-                    est_rows.append(
-                        (method, _cell(t.frequency), _cell(t.amplitude), _cell(t.phase), "", "", "", "")
-                    )
+            result = run_method(
+                method, obs, cfg.estimator, cfg.omp, cfg.scenario.band_limit
+            )
         except (EstimationError, np.linalg.LinAlgError, ValueError) as exc:
             print(f"{method} failed: {exc}", file=sys.stderr)
             return 1
+        if method == "sngem":
+            for w in result.warnings:
+                print(f"sngem: {w}", file=sys.stderr)
+            for failure in result.failures:
+                print(
+                    f"sngem: component at alias "
+                    f"{failure.alias_frequency:.6g} Hz failed: {failure.reason}",
+                    file=sys.stderr,
+                )
+        for t in result.tones:
+            # the grid method has no ratio or fold bookkeeping
+            extra = (
+                (t.ratio, t.f_ratio, t.fold_index, t.mirror)
+                if method == "sngem"
+                else (None,) * 4
+            )
+            est_rows.append(
+                [_fmt(v) for v in (method, t.frequency, t.amplitude, t.phase, *extra)]
+            )
     _write_csv(out / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
     return 0
 
@@ -358,9 +305,7 @@ def cmd_plot(args) -> int:
     out = args.out or spec.output
     if out is None:
         raise ValueError("no output path: pass --out or set output in the spec")
-    svg = render_chart(summary, spec)
-    with open(out, "w", newline="") as fh:
-        fh.write(svg)
+    save_chart(summary, spec, out)
     print(f"wrote {out}")
     return 0
 

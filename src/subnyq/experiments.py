@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +51,7 @@ TRIAL_COLUMNS = (
     "matched",
 )
 
-SUMMARY_COLUMNS = (
-    "snr_db",
-    "compression",
-    "method",
-    "rmse_f_rel",
-    "rmse_a_rel",
-    "rmse_phi_rad",
-    "miss_rate",
-    "crb_rel",
-    "rmse_over_crb",
-)
+METHODS = ("sngem", "omp")
 
 # placement margins for generated tones, in units of 1/duration
 _SEPARATION_CYCLES = 4.0
@@ -86,7 +76,7 @@ class ExperimentConfig:
     band_limit: float = 1.0e9
     n_samples: int = 1024
     master_seed: int = 20260101
-    methods: tuple = ("sngem", "omp")
+    methods: tuple = METHODS
     noise_convention: str = "equal_snr"
     scheme_variant: str = "uniform"
     fixed_frequencies: tuple | None = None
@@ -99,17 +89,15 @@ class ExperimentConfig:
         object.__setattr__(self, "tone_count_range", tuple(self.tone_count_range))
         object.__setattr__(self, "compression_grid", tuple(self.compression_grid))
         object.__setattr__(self, "snr_db_grid", tuple(self.snr_db_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", check_methods(self.methods))
         if self.fixed_frequencies is not None:
             object.__setattr__(
                 self, "fixed_frequencies", tuple(self.fixed_frequencies)
             )
-        if isinstance(self.estimator, dict):
-            object.__setattr__(
-                self, "estimator", _sub_config(EstimatorConfig, self.estimator, "estimator")
-            )
-        if isinstance(self.omp, dict):
-            object.__setattr__(self, "omp", _sub_config(OmpConfig, self.omp, "omp"))
+        object.__setattr__(
+            self, "estimator", config_section(EstimatorConfig, self.estimator, "estimator")
+        )
+        object.__setattr__(self, "omp", config_section(OmpConfig, self.omp, "omp"))
         lo, hi = self.tone_count_range
         if lo < 1 or hi < lo:
             raise ValueError("tone_count_range must be 1 <= lo <= hi")
@@ -127,11 +115,6 @@ class ExperimentConfig:
             raise ValueError("n_samples must be at least 8")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
-        unknown = set(self.methods) - {"sngem", "omp"}
-        if unknown or len(self.methods) == 0:
-            raise ValueError(
-                f"methods must be a nonempty subset of sngem/omp, got {self.methods}"
-            )
         if self.noise_convention not in ("equal_variance", "equal_snr"):
             raise ValueError(f"unknown noise convention {self.noise_convention!r}")
         if self.scheme_variant not in ("uniform", "random"):
@@ -139,62 +122,44 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        est = doc.pop("estimator", None)
-        omp_doc = doc.pop("omp", None)
-        allowed = {f.name for f in fields(ExperimentConfig)} - {"estimator", "omp"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if est is not None:
-            kwargs["estimator"] = _sub_config(EstimatorConfig, est, "estimator")
-        if omp_doc is not None:
-            kwargs["omp"] = _sub_config(OmpConfig, omp_doc, "omp")
-        return ExperimentConfig(**kwargs)
+        return config_from_dict(ExperimentConfig, doc, "experiment config")
 
     def to_dict(self) -> dict:
-        return {
-            "tone_count_range": list(self.tone_count_range),
-            "compression_grid": list(self.compression_grid),
-            "snr_db_grid": list(self.snr_db_grid),
-            "trials_per_point": self.trials_per_point,
-            "band_limit": self.band_limit,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "methods": list(self.methods),
-            "noise_convention": self.noise_convention,
-            "scheme_variant": self.scheme_variant,
-            "fixed_frequencies": (
-                None
-                if self.fixed_frequencies is None
-                else list(self.fixed_frequencies)
-            ),
-            "unit_amplitudes": self.unit_amplitudes,
-            "oracle_model_order": self.oracle_model_order,
-            "estimator": {
-                "model_order": self.estimator.model_order,
-                "pencil_ratio": self.estimator.pencil_ratio,
-                "sv_threshold": self.estimator.sv_threshold,
-                "refine_iters": self.estimator.refine_iters,
-            },
-            "omp": {
-                "grid_size": self.omp.grid_size,
-                "max_iters": self.omp.max_iters,
-                "residual_tol": self.omp.residual_tol,
-                "use_derivative_channel": self.omp.use_derivative_channel,
-            },
-        }
+        return asdict(self)
 
 
-def _sub_config(cls, doc, label):
+def config_from_dict(cls, doc, label):
+    """Build the dataclass cls from a JSON object.
+
+    Rejects a non-object and keys that are not fields of cls.  A missing or
+    mistyped field surfaces as the constructor's TypeError, which is raised
+    again as a ValueError naming the section.
+    """
     if not isinstance(doc, dict):
-        raise ValueError(f"{label} section must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(doc) - allowed
+        raise ValueError(f"{label} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {label} config keys: {sorted(unknown)}")
-    return cls(**doc)
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
+def config_section(cls, value, label):
+    """A nested config section given as an instance, a JSON object or null."""
+    if isinstance(value, cls):
+        return value
+    return cls() if value is None else config_from_dict(cls, value, label)
+
+
+def check_methods(methods) -> tuple:
+    methods = tuple(methods)
+    if not methods or set(methods) - set(METHODS):
+        raise ValueError(
+            f"methods must be a nonempty subset of sngem/omp, got {methods}"
+        )
+    return methods
 
 
 @dataclass(frozen=True)
@@ -231,6 +196,9 @@ class SummaryRow:
     miss_rate: float
     crb_rel: float | None
     rmse_over_crb: float | None
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass
@@ -344,20 +312,21 @@ def match_tones(f_true, f_hat):
     return assigned, spurious
 
 
-def _estimate_tuples(method, obs, cfg, k_true, omp_cache):
-    """Run one method; returns a list of (f, amp, phase) triples."""
+def run_method(method, obs, est_cfg, omp_cfg, band_limit, omp_cache=None):
+    """Run one method on an observation.
+
+    Returns the sngem EstimationResult or the OmpResult; both carry tones
+    with frequency, amplitude and phase.  omp_cache, when given, keeps the
+    last stacked OMP dictionary for reuse by the next call with the same
+    sample times, grid and noise levels.
+    """
     if method == "sngem":
-        est_cfg = cfg.estimator
-        if cfg.oracle_model_order:
-            est_cfg = replace(est_cfg, model_order=k_true)
-        result = estimate(obs, est_cfg, cfg.band_limit)
-        return [(t.frequency, t.amplitude, t.phase) for t in result.tones]
-    omp_cfg = cfg.omp
-    if cfg.oracle_model_order:
-        omp_cfg = replace(omp_cfg, max_iters=k_true)
+        return estimate(obs, est_cfg, band_limit)
+    if omp_cache is None:
+        omp_cache = {}
     key = (
         obs.times.tobytes(),
-        cfg.band_limit,
+        band_limit,
         omp_cfg.grid_size,
         omp_cfg.use_derivative_channel,
         obs.sigma_x,
@@ -365,14 +334,13 @@ def _estimate_tuples(method, obs, cfg, k_true, omp_cache):
     )
     stacked = omp_cache.get(key)
     if stacked is None:
-        base = build_dictionary(obs.times, cfg.band_limit, omp_cfg.grid_size)
+        base = build_dictionary(obs.times, band_limit, omp_cfg.grid_size)
         stacked = prepare_stacked(
             base, obs.sigma_x, obs.sigma_xdot, omp_cfg.use_derivative_channel
         )
         omp_cache.clear()  # keep at most one stacked system around
         omp_cache[key] = stacked
-    result = omp_recover(obs, stacked, omp_cfg)
-    return [(t.frequency, t.amplitude, t.phase) for t in result.tones]
+    return omp_recover(obs, stacked, omp_cfg)
 
 
 def run_trial(
@@ -402,11 +370,17 @@ def run_trial(
     a_true = scenario.amplitudes
     phi_true = scenario.phases
 
+    est_cfg, omp_cfg = cfg.estimator, cfg.omp
+    if cfg.oracle_model_order:
+        est_cfg = replace(est_cfg, model_order=k_true)
+        omp_cfg = replace(omp_cfg, max_iters=k_true)
+
     records = []
     for method in cfg.methods:
         start = time.perf_counter()
         try:
-            tuples = _estimate_tuples(method, obs, cfg, k_true, omp_cache)
+            result = run_method(method, obs, est_cfg, omp_cfg, cfg.band_limit, omp_cache)
+            tuples = [(t.frequency, t.amplitude, t.phase) for t in result.tones]
         except (EstimationError, ValueError, np.linalg.LinAlgError):
             tuples = []
         wall = time.perf_counter() - start
@@ -454,8 +428,7 @@ def _worker_count() -> int:
 
 
 def _point_chunk(args):
-    cfg_doc, snr_db, compression, t_lo, t_hi = args
-    cfg = ExperimentConfig.from_dict(cfg_doc)
+    cfg, snr_db, compression, t_lo, t_hi = args
     cache: dict = {}
     out = []
     for t in range(t_lo, t_hi):
@@ -464,8 +437,11 @@ def _point_chunk(args):
 
 
 def _fmt(value) -> str:
+    """One CSV cell: empty for None, strings as they are, exact floats."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -578,7 +554,7 @@ def run_sweep(
             ]
             if workers > 1 and len(spans) > 1:
                 args = [
-                    (cfg.to_dict(), snr_db, compression, lo, hi) for lo, hi in spans
+                    (cfg, snr_db, compression, lo, hi) for lo, hi in spans
                 ]
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     parts = list(pool.map(_point_chunk, args))
@@ -586,11 +562,8 @@ def run_sweep(
             else:
                 cache: dict = {}
                 records = []
-                for lo, hi in spans:
-                    for t in range(lo, hi):
-                        records.extend(
-                            run_trial(cfg, snr_db, compression, t, cache)
-                        )
+                for t in range(cfg.trials_per_point):
+                    records.extend(run_trial(cfg, snr_db, compression, t, cache))
             records.sort(
                 key=lambda r: (r.trial_index, cfg.methods.index(r.method))
             )
@@ -617,25 +590,19 @@ def write_summary_csv(summary: SweepSummary, path):
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for r in summary.rows:
-            writer.writerow(
-                (
-                    _fmt(r.snr_db),
-                    _fmt(r.compression),
-                    r.method,
-                    _fmt(r.rmse_f_rel),
-                    _fmt(r.rmse_a_rel),
-                    _fmt(r.rmse_phi_rad),
-                    _fmt(r.miss_rate),
-                    _fmt(r.crb_rel),
-                    _fmt(r.rmse_over_crb),
-                )
-            )
+            writer.writerow([_fmt(getattr(r, c)) for c in SUMMARY_COLUMNS])
+
+
+def _summary_cell(column: str, text: str):
+    if column == "method":
+        return text
+    # compression and miss_rate always hold a value; float("") rejects a blank
+    if text == "" and column not in ("compression", "miss_rate"):
+        return None
+    return float(text)
 
 
 def read_summary_csv(path) -> SweepSummary:
-    def opt(cell):
-        return None if cell == "" else float(cell)
-
     summary = SweepSummary()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -644,17 +611,7 @@ def read_summary_csv(path) -> SweepSummary:
             raise ValueError(f"summary CSV is missing columns: {sorted(missing)}")
         for rec in reader:
             summary.rows.append(
-                SummaryRow(
-                    snr_db=opt(rec["snr_db"]),
-                    compression=float(rec["compression"]),
-                    method=rec["method"],
-                    rmse_f_rel=opt(rec["rmse_f_rel"]),
-                    rmse_a_rel=opt(rec["rmse_a_rel"]),
-                    rmse_phi_rad=opt(rec["rmse_phi_rad"]),
-                    miss_rate=float(rec["miss_rate"]),
-                    crb_rel=opt(rec["crb_rel"]),
-                    rmse_over_crb=opt(rec["rmse_over_crb"]),
-                )
+                SummaryRow(**{c: _summary_cell(c, rec[c]) for c in SUMMARY_COLUMNS})
             )
     return summary
 

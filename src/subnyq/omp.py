@@ -55,20 +55,6 @@ class DftDictionary:
     def grid_size(self) -> int:
         return len(self.grid_frequencies)
 
-    def normalized_atoms(self) -> np.ndarray:
-        """All 2G atoms as unit-norm columns, cos/sin interleaved per grid point.
-
-        Columns whose unnormalized norm is numerically zero (a sin atom can
-        vanish on special grids) are left as zero columns.
-        """
-        n, g = self.cosines.shape
-        out = np.empty((n, 2 * g))
-        c_n = np.where(self.cos_norms > 0.0, self.cos_norms, 1.0)
-        s_n = np.where(self.sin_norms > 0.0, self.sin_norms, 1.0)
-        out[:, 0::2] = self.cosines / c_n
-        out[:, 1::2] = self.sines / s_n
-        return out
-
 
 def build_dictionary(
     sample_times, band_limit: float, grid_size: int

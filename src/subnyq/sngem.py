@@ -24,12 +24,13 @@ the amplitude ratio serves as a consistency diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from .bounds import tone_gradients
 from .signal_core import (
     TWO_PI,
     DualChannelObservation,
@@ -41,7 +42,6 @@ from .signal_core import (
 _RATIO_FLOOR = 1e3 * np.finfo(float).eps
 # minimum singular-value gap accepted as a model-order boundary
 _ORDER_GAP = 3.0
-# cyclic refinement passes in the nonuniform deflation loop
 # cyclic polish contracts inter-tone leakage linearly per pass
 _MAX_POLISH_PASSES = 12
 _POLISH_RTOL = 1e-13
@@ -291,19 +291,16 @@ def fold_candidates(alias: float, sample_rate: float, band_limit: float):
     """
     if not 0.0 <= alias <= sample_rate / 2.0 * (1.0 + 1e-12):
         raise ValueError(f"alias {alias:.6g} outside [0, fs/2]")
-    cands = []
+    # where a mirrored and an unmirrored candidate coincide (alias 0 or
+    # fs/2), the first one found, which is unmirrored, is kept
+    cands = {}
     m = 0
     while m * sample_rate - alias <= band_limit:
         for f, mirror in ((m * sample_rate + alias, False), (m * sample_rate - alias, True)):
-            if 0.0 < f <= band_limit and (not cands or f != cands[-1][0]):
-                cands.append((f, m, mirror))
+            if 0.0 < f <= band_limit:
+                cands.setdefault(f, (f, m, mirror))
         m += 1
-    cands.sort(key=lambda c: c[0])
-    out = [cands[0]] if cands else []
-    for c in cands[1:]:
-        if c[0] != out[-1][0]:
-            out.append(c)
-    return out
+    return sorted(cands.values())
 
 
 def unfold(
@@ -343,54 +340,69 @@ def _channel_weight(sigma: float) -> float:
     return 1.0 / sigma
 
 
-def _refine_joint(times, x, xdot, w_x, w_d, params, iters):
+def _ratio_rel_sigma(obs: DualChannelObservation, amp_x: float, amp_xdot: float):
+    """Relative standard deviation of the amplitude-ratio frequency.
+
+    sqrt(inv_nsnr), the sum of the two channels' 2/(N SNR) terms; None when
+    either channel is noiseless or has infinite noise.
+    """
+    if not (0.0 < obs.sigma_x < math.inf and 0.0 < obs.sigma_xdot < math.inf):
+        return None
+    return math.sqrt(
+        (2.0 * obs.sigma_x**2 / amp_x**2 + 2.0 * obs.sigma_xdot**2 / amp_xdot**2)
+        / len(obs)
+    )
+
+
+def _refine_joint(obs: DualChannelObservation, tones, iters):
     """Cyclic Gauss-Newton over (A, f, phi) per tone, both channels jointly.
 
-    params is an (K, 3) array updated in place and returned.
+    Starts from each tone's amplitude, frequency and phase and returns the
+    tones with those three refined.
     """
-    t = np.asarray(times, dtype=float)
+    t = obs.times
+    w_x = _channel_weight(obs.sigma_x)
+    w_d = _channel_weight(obs.sigma_xdot)
+    tones = list(tones)
 
-    def tone_model(a, f, phi):
-        arg = TWO_PI * f * t + phi
+    def tone_model(tone):
+        a, f = tone.amplitude, tone.frequency
+        arg = TWO_PI * f * t + tone.phase
         return a * np.cos(arg), -TWO_PI * f * a * np.sin(arg)
 
     def full_model():
         mx = np.zeros_like(t)
         md = np.zeros_like(t)
-        for a, f, phi in params:
-            tx, td = tone_model(a, f, phi)
+        for tone in tones:
+            tx, td = tone_model(tone)
             mx += tx
             md += td
         return mx, md
 
     for _ in range(iters):
-        for k in range(len(params)):
+        for k, tone in enumerate(tones):
             mx, md = full_model()
-            a, f, phi = params[k]
-            tx, td = tone_model(a, f, phi)
-            rx = x - (mx - tx)
-            rd = xdot - (md - td)
-            arg = TWO_PI * f * t + phi
-            c, sn = np.cos(arg), np.sin(arg)
-            jac_x = np.column_stack([c, -TWO_PI * t * a * sn, -a * sn])
-            jac_d = np.column_stack(
-                [
-                    -TWO_PI * f * sn,
-                    -TWO_PI * a * sn - TWO_PI**2 * f * a * t * c,
-                    -TWO_PI * f * a * c,
-                ]
-            )
-            jac = np.vstack([w_x * jac_x, w_d * jac_d])
+            tx, td = tone_model(tone)
+            rx = obs.x - (mx - tx)
+            rd = obs.xdot - (md - td)
+            grad_x, grad_d = tone_gradients(tone, t)
+            jac = np.vstack([w_x * grad_x.T, w_d * grad_d.T])
             resid = np.concatenate([w_x * (rx - tx), w_d * (rd - td)])
             try:
                 step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
             except np.linalg.LinAlgError:
                 continue
-            a_new, f_new, phi_new = a + step[0], f + step[1], phi + step[2]
+            a_new = tone.amplitude + step[0]
+            f_new = tone.frequency + step[1]
             if a_new <= 0.0 or f_new <= 0.0:
                 continue
-            params[k] = (a_new, f_new, float(wrap_phase(phi_new)))
-    return params
+            tones[k] = replace(
+                tone,
+                amplitude=a_new,
+                frequency=f_new,
+                phase=float(wrap_phase(tone.phase + step[2])),
+            )
+    return tones
 
 
 def estimate(
@@ -411,7 +423,6 @@ def estimate(
         return estimate_nonuniform(obs, cfg, band_limit)
 
     t0 = float(obs.times[0])
-    n = len(obs)
     comps = estimate_aliased_spectrum(obs, cfg)
     result = EstimationResult()
     for comp in comps:
@@ -420,18 +431,8 @@ def estimate(
         except DegenerateRatioError as exc:
             result.failures.append(ToneFailure(comp.alias_frequency, str(exc)))
             continue
-        sigma_coarse = None
-        if (
-            obs.sigma_x > 0.0
-            and obs.sigma_xdot > 0.0
-            and math.isfinite(obs.sigma_x)
-            and math.isfinite(obs.sigma_xdot)
-        ):
-            inv_nsnr = (
-                2.0 * obs.sigma_x**2 / comp.amp_x**2
-                + 2.0 * obs.sigma_xdot**2 / comp.amp_xdot**2
-            ) / n
-            sigma_coarse = f_ratio * math.sqrt(inv_nsnr)
+        rel_sigma = _ratio_rel_sigma(obs, comp.amp_x, comp.amp_xdot)
+        sigma_coarse = None if rel_sigma is None else f_ratio * rel_sigma
         try:
             fold_f, fold_index, mirror = unfold(
                 f_ratio, comp.alias_frequency, fs, band_limit, sigma_coarse
@@ -456,33 +457,17 @@ def estimate(
             )
         )
 
-    if cfg.refine_iters > 0 and result.tones:
-        w_x = _channel_weight(obs.sigma_x)
-        w_d = _channel_weight(obs.sigma_xdot)
-        params = [
-            (
-                tone.amplitude,
-                tone.fold_index * fs + (-1.0 if tone.mirror else 1.0) * tone.alias_frequency,
-                tone.phase,
+    if cfg.refine_iters > 0:
+        # refinement starts from the fold candidate, not the ratio estimate
+        starts = [
+            replace(
+                tone,
+                frequency=tone.fold_index * fs
+                + (-1.0 if tone.mirror else 1.0) * tone.alias_frequency,
             )
             for tone in result.tones
         ]
-        params = _refine_joint(
-            obs.times, obs.x, obs.xdot, w_x, w_d, params, cfg.refine_iters
-        )
-        result.tones = [
-            EstimatedTone(
-                frequency=f,
-                amplitude=a,
-                phase=phi,
-                ratio=tone.ratio,
-                f_ratio=tone.f_ratio,
-                fold_index=tone.fold_index,
-                mirror=tone.mirror,
-                alias_frequency=tone.alias_frequency,
-            )
-            for (a, f, phi), tone in zip(params, result.tones)
-        ]
+        result.tones = _refine_joint(obs, starts, cfg.refine_iters)
 
     result.tones.sort(key=lambda tone: tone.frequency)
     return result
@@ -553,6 +538,18 @@ def _gn_polish_single(f, tau, targets, weights, iters: int = 3):
     return f
 
 
+def _search_and_polish(f0, grid_step, band_limit, tau, targets, weights):
+    """Bounded search within one grid step of f0, then a Gauss-Newton polish."""
+    opt = scipy.optimize.minimize_scalar(
+        _profiled_cost,
+        bounds=(max(grid_step / 2, f0 - grid_step), min(band_limit, f0 + grid_step)),
+        args=(tau, targets, weights),
+        method="bounded",
+        options={"xatol": grid_step * 1e-12},
+    )
+    return _gn_polish_single(float(opt.x), tau, targets, weights)
+
+
 def estimate_nonuniform(
     obs: DualChannelObservation, cfg: EstimatorConfig, band_limit: float
 ) -> EstimationResult:
@@ -578,11 +575,7 @@ def estimate_nonuniform(
     if len(freqs) == 0:
         raise ValueError("empty frequency grid: band limit below grid spacing")
 
-    w_x = _channel_weight(obs.sigma_x)
-    w_d = _channel_weight(obs.sigma_xdot)
-    targets_full = (obs.x, obs.xdot)
-    weights = (w_x, w_d)
-    n = len(obs)
+    weights = (_channel_weight(obs.sigma_x), _channel_weight(obs.sigma_xdot))
 
     k_target = cfg.model_order if cfg.model_order is not None else _MAX_AUTO_TONES
     result = EstimationResult()
@@ -612,19 +605,11 @@ def estimate_nonuniform(
                     "periodogram peak below the residual noise floor"
                 )
             break
-        f0 = float(freqs[peak])
-        lo = max(grid_step / 2, f0 - grid_step)
-        hi = min(band_limit, f0 + grid_step)
-        targets = (resid_x, resid_d)
-        opt = scipy.optimize.minimize_scalar(
-            _profiled_cost,
-            bounds=(lo, hi),
-            args=(tau, targets, weights),
-            method="bounded",
-            options={"xatol": grid_step * 1e-12},
+        found.append(
+            _search_and_polish(
+                float(freqs[peak]), grid_step, band_limit, tau, (resid_x, resid_d), weights
+            )
         )
-        f_hat = _gn_polish_single(float(opt.x), tau, targets, weights)
-        found.append(f_hat)
         coef_x, coef_d = refit_all()
 
     for _ in range(_MAX_POLISH_PASSES if len(found) > 1 else 0):
@@ -640,17 +625,9 @@ def estimate_nonuniform(
                 obs.x - design[:, keep] @ coef_x[keep],
                 obs.xdot - design[:, keep] @ coef_d[keep],
             )
-            f_i = found[i]
-            lo = max(grid_step / 2, f_i - grid_step)
-            hi = min(band_limit, f_i + grid_step)
-            opt = scipy.optimize.minimize_scalar(
-                _profiled_cost,
-                bounds=(lo, hi),
-                args=(tau, targets, weights),
-                method="bounded",
-                options={"xatol": grid_step * 1e-12},
+            found[i] = _search_and_polish(
+                found[i], grid_step, band_limit, tau, targets, weights
             )
-            found[i] = _gn_polish_single(float(opt.x), tau, targets, weights)
         coef_x, coef_d = refit_all()
         if max(
             abs(f - p) / p for f, p in zip(found, previous)
@@ -667,11 +644,9 @@ def estimate_nonuniform(
         else:
             ratio = math.nan
             f_ratio = math.nan
-        if obs.sigma_x > 0.0 and obs.sigma_xdot > 0.0 and math.isfinite(f_ratio):
-            inv_nsnr = (
-                2.0 * obs.sigma_x**2 / amp_x**2 + 2.0 * obs.sigma_xdot**2 / amp_d**2
-            ) / n
-            band = 3.0 * f_ratio * math.sqrt(inv_nsnr)
+        rel_sigma = _ratio_rel_sigma(obs, amp_x, amp_d) if math.isfinite(f_ratio) else None
+        if rel_sigma is not None:
+            band = 3.0 * f_ratio * rel_sigma
             if abs(f_ratio - f_hat) > band:
                 result.warnings.append(
                     f"tone at {f_hat:.6g} Hz: ratio check {f_ratio:.6g} Hz is "
@@ -690,22 +665,8 @@ def estimate_nonuniform(
             )
         )
 
-    if cfg.refine_iters > 0 and result.tones:
-        params = [(tn.amplitude, tn.frequency, tn.phase) for tn in result.tones]
-        params = _refine_joint(t, obs.x, obs.xdot, w_x, w_d, params, cfg.refine_iters)
-        result.tones = [
-            EstimatedTone(
-                frequency=f,
-                amplitude=a,
-                phase=phi,
-                ratio=tone.ratio,
-                f_ratio=tone.f_ratio,
-                fold_index=0,
-                mirror=False,
-                alias_frequency=None,
-            )
-            for (a, f, phi), tone in zip(params, result.tones)
-        ]
+    if cfg.refine_iters > 0:
+        result.tones = _refine_joint(obs, result.tones, cfg.refine_iters)
 
     result.tones.sort(key=lambda tone: tone.frequency)
     return result

@@ -9,9 +9,9 @@ are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .experiments import SUMMARY_COLUMNS, SweepSummary
+from .experiments import SUMMARY_COLUMNS, SweepSummary, config_from_dict
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -63,13 +63,7 @@ class PlotSpec:
 
 
 def plot_spec_from_dict(doc: dict) -> PlotSpec:
-    if not isinstance(doc, dict):
-        raise ValueError("plot spec must be a JSON object")
-    allowed = {f.name for f in fields(PlotSpec)}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown plot spec keys: {sorted(unknown)}")
-    return PlotSpec(**doc)
+    return config_from_dict(PlotSpec, doc, "plot spec")
 
 
 def _fmt_num(v: float) -> str:

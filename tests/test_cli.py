@@ -279,3 +279,33 @@ def test_config_section_parsers():
                 "methods": ["fft"],
             }
         )
+
+
+def _tone_without_amplitude(doc):
+    del doc["scenario"]["tones"][0]["amplitude"]
+
+
+def _scheme_without_variant(doc):
+    del doc["scheme"]["variant"]
+
+
+@pytest.mark.parametrize(
+    "edit, section",
+    [(_tone_without_amplitude, "scenario tones[0]"), (_scheme_without_variant, "scheme")],
+)
+def test_simulate_missing_field_exits_2(tmp_path, capsys, edit, section):
+    doc = two_tone_simulate_doc()
+    edit(doc)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {section}:")
+
+
+def test_sweep_mistyped_estimator_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"estimator": {"pencil_ratio": "x"}}))
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: estimator:")

@@ -1,12 +1,18 @@
 """Tests for the Monte-Carlo sweep harness."""
 
+import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subnyq.experiments import (
+    METHODS,
     ExperimentConfig,
     SummaryRow,
     SweepSummary,
@@ -23,8 +29,63 @@ from subnyq.experiments import (
     trial_seed_sequence,
     write_summary_csv,
 )
+from subnyq.omp import OmpConfig
 from subnyq.signal_core import SamplingScheme, wrap_phase
-from subnyq.sngem import alias_frequency
+from subnyq.sngem import EstimatorConfig, alias_frequency
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def experiment_configs(draw):
+    lo = draw(st.integers(1, 20))
+    return ExperimentConfig(
+        tone_count_range=(lo, draw(st.integers(lo, 30))),
+        compression_grid=draw(
+            st.lists(st.floats(1.0, 1e3, exclude_min=True), min_size=1, max_size=4)
+        ),
+        snr_db_grid=draw(
+            st.lists(st.one_of(st.none(), st.floats(-50.0, 100.0)), min_size=1, max_size=4)
+        ),
+        trials_per_point=draw(st.integers(1, 10_000)),
+        band_limit=draw(st.floats(1.0, 1e12)),
+        n_samples=draw(st.integers(8, 1 << 16)),
+        master_seed=draw(st.integers(0, 2**63)),
+        methods=draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)),
+        noise_convention=draw(st.sampled_from(("equal_variance", "equal_snr"))),
+        scheme_variant=draw(st.sampled_from(("uniform", "random"))),
+        fixed_frequencies=draw(st.one_of(st.none(), st.lists(finite, min_size=1))),
+        unit_amplitudes=draw(st.booleans()),
+        oracle_model_order=draw(st.booleans()),
+        estimator=EstimatorConfig(
+            model_order=draw(st.one_of(st.none(), st.integers(1, 64))),
+            pencil_ratio=draw(open_unit),
+            sv_threshold=draw(open_unit),
+            refine_iters=draw(st.integers(0, 5)),
+        ),
+        omp=OmpConfig(
+            grid_size=draw(st.integers(1, 1 << 14)),
+            max_iters=draw(st.integers(1, 64)),
+            residual_tol=draw(st.floats(0.0, 1.0)),
+            use_derivative_channel=draw(st.booleans()),
+        ),
+    )
+
+
+optional = st.one_of(st.none(), st.floats(allow_nan=False))
+summary_rows = st.builds(
+    SummaryRow,
+    snr_db=optional,
+    compression=st.floats(allow_nan=False),
+    method=st.sampled_from(METHODS),
+    rmse_f_rel=optional,
+    rmse_a_rel=optional,
+    rmse_phi_rad=optional,
+    miss_rate=st.floats(allow_nan=False),
+    crb_rel=optional,
+    rmse_over_crb=optional,
+)
 
 
 def small_config(**overrides):
@@ -86,6 +147,19 @@ def test_config_round_trip_and_unknown_keys():
         ExperimentConfig.from_dict({"methods": ["fft"]})
     with pytest.raises(ValueError, match="snr_db_grid"):
         ExperimentConfig.from_dict({"snr_db_grid": []})
+
+
+@given(experiment_configs())
+def test_config_json_round_trip(cfg):
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@given(st.lists(summary_rows, max_size=6))
+def test_summary_csv_round_trip_property(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "summary.csv"
+        write_summary_csv(SweepSummary(rows=rows), path)
+        assert read_summary_csv(path).rows == rows
 
 
 def test_generate_scenario_constraints():
@@ -209,6 +283,15 @@ def test_summary_csv_round_trip(tmp_path):
     bad.write_text("\n".join(trimmed) + "\n")
     with pytest.raises(ValueError, match="crb_rel"):
         read_summary_csv(bad)
+
+    # compression and miss_rate must hold a value; the other numbers may be blank
+    for column in ("compression", "miss_rate"):
+        cells = lines[1].split(",")
+        cells[cols.index(column)] = ""
+        blank = tmp_path / f"blank_{column}.csv"
+        blank.write_text(lines[0] + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(ValueError):
+            read_summary_csv(blank)
 
 
 def test_compare_report_flags_error_floor():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subnyq.signal_core import (
     DualChannelObservation,
@@ -68,6 +70,29 @@ def test_fold_candidates_cover_band():
     # the nearest candidate above the band limit is excluded
     assert max(freqs) <= BAND
     assert max(freqs) > BAND - FS
+
+
+@given(
+    fs=st.floats(1e3, 1e9),
+    band_ratio=st.floats(0.5, 40.0),
+    alias_frac=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
+)
+def test_fold_candidates_unique_and_exact(fs, band_ratio, alias_frac):
+    band = fs * band_ratio
+    alias = alias_frac * fs
+    cands = fold_candidates(alias, fs, band)
+    freqs = [f for f, _, _ in cands]
+    assert freqs == sorted(set(freqs))
+    for f, m, mirror in cands:
+        assert f == m * fs + (-alias if mirror else alias)
+    # every fold of the alias in (0, band] is listed; where a mirrored and an
+    # unmirrored fold coincide (alias 0 or fs/2) the unmirrored one is kept
+    unmirrored = {m * fs + alias for m in range(int(band / fs) + 2)}
+    for m in range(int(band / fs) + 2):
+        for f in (m * fs + alias, m * fs - alias):
+            if 0.0 < f <= band:
+                assert f in freqs
+    assert not any(mirror and f in unmirrored for f, _, mirror in cands)
 
 
 def test_unfold_example():
