@@ -101,12 +101,17 @@ def parse_sweep(text: str, integer: bool = False):
     return values
 
 
-def _sweep_arg(text: str):
-    return parse_sweep(text)
+# argparse reports only an ArgumentTypeError's own message; for any other
+# error it prints the converter's function name instead of the reason
+def _sweep_arg(text: str, integer: bool = False):
+    try:
+        return parse_sweep(text, integer=integer)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_sweep_arg(text: str):
-    return parse_sweep(text, integer=True)
+    return _sweep_arg(text, integer=True)
 
 
 def load_json(path):

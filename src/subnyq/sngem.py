@@ -47,6 +47,13 @@ _MAX_POLISH_PASSES = 12
 _POLISH_RTOL = 1e-13
 # cap on automatically extracted tones in the nonuniform path
 _MAX_AUTO_TONES = 64
+# randomized range finder for the leading Hankel subspace (Halko, Martinsson
+# & Tropp, SIAM Rev. 2011): extra test vectors beyond 2K, power iterations
+# against slowly decaying noise spectra, and a fixed seed so that reruns are
+# byte-identical
+_RANGE_OVERSAMPLE = 8
+_RANGE_POWER_ITERS = 2
+_RANGE_SEED = 20110217
 
 
 class EstimationError(RuntimeError):
@@ -180,14 +187,41 @@ def _auto_order(s, sv_threshold):
     return best_rank // 2
 
 
+def _leading_subspace(hank, rank):
+    """Leading left singular vectors and values of hank, from a random sketch.
+
+    Returns (u, s) with rank + _RANGE_OVERSAMPLE columns and values (capped
+    at min(hank.shape)), in decreasing order like a truncated SVD.  The
+    sketch is re-orthonormalised after every product so that singular values
+    far below the largest survive for the collision test; forming hank hank^T
+    would square their ratio into the rounding floor.
+    """
+    width = min(rank + _RANGE_OVERSAMPLE, *hank.shape)
+    omega = np.random.default_rng(_RANGE_SEED).standard_normal((hank.shape[1], width))
+    q, _ = np.linalg.qr(hank @ omega)
+    for _ in range(_RANGE_POWER_ITERS):
+        q, _ = np.linalg.qr(hank.T @ q)
+        q, _ = np.linalg.qr(hank @ q)
+    u_small, s, _ = scipy.linalg.svd(q.T @ hank, full_matrices=False)
+    return q @ u_small, s
+
+
 def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig):
     """Recover the aliased line spectrum from a uniformly sampled observation.
 
     Builds the Hankel matrix of the signal channel with
-    L = round(pencil_ratio * N) rows, truncates its SVD at rank 2K, solves
-    the shift-invariance pencil as a generalized eigenvalue problem for the
-    unit-circle roots, merges conjugate pairs into K alias frequencies, and
-    least-squares fits both channels on the shared {cos, sin} support.
+    L = round(pencil_ratio * N) rows and takes its leading 2K left singular
+    vectors, solves the shift-invariance pencil on them as a generalized
+    eigenvalue problem for the unit-circle roots, merges conjugate pairs into
+    K alias frequencies, and least-squares fits both channels on the shared
+    {cos, sin} support.
+
+    With a known model order K the pencil reads nothing beyond those 2K
+    vectors, so they come from a seeded randomized range finder
+    (:func:`_leading_subspace`) at a small fraction of a full SVD's cost; the
+    fixed seed keeps reruns byte-identical.  Automatic order selection looks
+    for a gap anywhere in the singular-value spectrum, so it takes the full
+    SVD.
 
     Returns a list of AliasedComponent sorted by alias frequency.
 
@@ -218,15 +252,16 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
             )
 
     hank = scipy.linalg.hankel(x[:rows], x[rows - 1 :])
-    u, s, _ = scipy.linalg.svd(hank, full_matrices=False)
 
     if cfg.model_order is not None:
         k = cfg.model_order
+        u, s = _leading_subspace(hank, 2 * k)
         if s[2 * k - 1] < cfg.sv_threshold * s[0]:
             raise CollisionError(
                 f"rank below 2K = {2 * k}: coincident aliases or missing tones"
             )
     else:
+        u, s, _ = scipy.linalg.svd(hank, full_matrices=False)
         k = _auto_order(s, cfg.sv_threshold)
 
     sub = u[:, : 2 * k]
@@ -265,6 +300,15 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
     return comps
 
 
+def _amplitude_ratio(amp_x: float, amp_xdot: float):
+    if amp_x <= 0.0 or amp_xdot < _RATIO_FLOOR * amp_x:
+        raise DegenerateRatioError(
+            f"amplitudes ({amp_x:.3g}, {amp_xdot:.3g}) unusable for a ratio"
+        )
+    ratio = amp_x / amp_xdot
+    return ratio, 1.0 / (TWO_PI * ratio)
+
+
 def ratio_frequency(comp: AliasedComponent):
     """Frequency from the per-tone amplitude ratio.
 
@@ -274,12 +318,7 @@ def ratio_frequency(comp: AliasedComponent):
     Returns (ratio, f_ratio).  Raises DegenerateRatioError when the
     derivative-channel amplitude is below the numerical floor.
     """
-    if comp.amp_x <= 0.0 or comp.amp_xdot < _RATIO_FLOOR * comp.amp_x:
-        raise DegenerateRatioError(
-            f"amplitudes ({comp.amp_x:.3g}, {comp.amp_xdot:.3g}) unusable for a ratio"
-        )
-    ratio = comp.amp_x / comp.amp_xdot
-    return ratio, 1.0 / (TWO_PI * ratio)
+    return _amplitude_ratio(comp.amp_x, comp.amp_xdot)
 
 
 def fold_candidates(alias: float, sample_rate: float, band_limit: float):
@@ -638,12 +677,10 @@ def estimate_nonuniform(
         amp_x, psi_x = _amp_phase(coef_x[2 * i], coef_x[2 * i + 1])
         amp_d, _ = _amp_phase(coef_d[2 * i], coef_d[2 * i + 1])
         phase = float(wrap_phase(psi_x - TWO_PI * f_hat * t[0]))
-        if amp_x > 0.0 and amp_d >= _RATIO_FLOOR * amp_x:
-            ratio = amp_x / amp_d
-            f_ratio = 1.0 / (TWO_PI * ratio)
-        else:
-            ratio = math.nan
-            f_ratio = math.nan
+        try:
+            ratio, f_ratio = _amplitude_ratio(amp_x, amp_d)
+        except DegenerateRatioError:
+            ratio = f_ratio = math.nan
         rel_sigma = _ratio_rel_sigma(obs, amp_x, amp_d) if math.isfinite(f_ratio) else None
         if rel_sigma is not None:
             band = 3.0 * f_ratio * rel_sigma

@@ -95,6 +95,9 @@ def test_crb_bad_sweep_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["crb", "--n", "1000:0:2000", "--snr-db", "10", "--freq", "1e8"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "sweep step must be positive" in err
+    assert "_int_sweep_arg" not in err
 
 
 def test_simulate_outputs_and_determinism(tmp_path, capsys):

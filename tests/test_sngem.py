@@ -171,6 +171,43 @@ def test_fold_collision_detected():
         estimate_aliased_spectrum(obs, EstimatorConfig(model_order=2))
 
 
+@pytest.mark.parametrize("count", [1, 5, 15])
+def test_known_order_matches_automatic_order(count):
+    # the known-order range finder against the full SVD of the automatic
+    # order; the aliases include one within 1 % of 0 and one within 1 % of fs/2
+    aliases = [0.004 * FS, 0.496 * FS] + list(np.linspace(0.03, 0.47, 13) * FS)
+    aliases = aliases[:count]
+    # folds 0-6; odd tones take the mirrored candidate except on fold 0
+    tones = [
+        ToneParams(
+            frequency=(i % 7) * FS + (-a if i % 2 and i % 7 else a),
+            amplitude=1.0 + 0.05 * i,
+            phase=0.4 * i - 1.0,
+        )
+        for i, a in enumerate(aliases)
+    ]
+    obs = uniform_obs(tones)
+    known = estimate_aliased_spectrum(obs, EstimatorConfig(model_order=count))
+    auto = estimate_aliased_spectrum(obs, EstimatorConfig())
+    assert len(known) == len(auto) == count
+    for k, a in zip(known, auto):
+        assert abs(k.alias_frequency - a.alias_frequency) < 1e-12 * FS
+    assert [c.alias_frequency for c in known] == pytest.approx(
+        sorted(aliases), abs=1e-9 * FS
+    )
+
+
+def test_known_order_is_deterministic():
+    tones = [
+        ToneParams(frequency=100e6, amplitude=1.0, phase=0.3),
+        ToneParams(frequency=440e6, amplitude=0.7, phase=-1.1),
+    ]
+    noise = NoiseConfig(sigma_x=0.1)
+    obs = add_noise(uniform_obs(tones), noise, seed=3)
+    cfg = EstimatorConfig(model_order=2)
+    assert estimate_aliased_spectrum(obs, cfg) == estimate_aliased_spectrum(obs, cfg)
+
+
 def test_degenerate_ratio_reported_not_raised():
     obs = uniform_obs([ToneParams(frequency=100e6, amplitude=1.0, phase=0.0)])
     broken = replace(obs, xdot=np.zeros_like(obs.xdot))
