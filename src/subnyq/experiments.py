@@ -7,14 +7,20 @@ columns next to the ratio-propagated bound sqrt(2/(N*SNR)).
 Determinism contract: every trial's randomness derives from
 (master_seed, point, trial_index) through a splittable counter, so reruns of
 the same config are byte-identical in both CSV outputs, regardless of how
-many worker processes are used.  Records are folded in (point, trial, method)
-order after collection.
+many worker processes are used or how many threads the caller's BLAS runs.
+Records are folded in (point, trial, method) order after collection.  Trials
+run at one OpenBLAS thread (the count changes summation order): process-global
+state for the duration of the sweep, with the caller's count restored after.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import json
+import logging
 import math
 import os
 import time
@@ -423,17 +429,63 @@ def _worker_count() -> int:
     if requested < 0:
         raise ValueError("SUBNYQ_THREADS must be nonnegative")
     if requested == 0:
+        if hasattr(os, "sched_getaffinity"):  # CPUs this process may run on
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return requested
 
 
-def _point_chunk(args):
-    cfg, snr_db, compression, t_lo, t_hi = args
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS numpy and scipy bundle."""
+    controls = []
+    for pkg in ("numpy", "scipy"):
+        libs = Path(__import__(pkg).__file__).parent.parent / f"{pkg}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+    if not controls:
+        logging.getLogger(__name__).info("no bundled OpenBLAS found; BLAS threads not capped")
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the body with every bundled OpenBLAS at n threads, then restore."""
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(n)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
+def _run_trials(cfg, snr_db, compression, t_lo, t_hi):
     cache: dict = {}
     out = []
-    for t in range(t_lo, t_hi):
-        out.extend(run_trial(cfg, snr_db, compression, t, cache))
+    with _blas_threads(1):
+        for t in range(t_lo, t_hi):
+            out.extend(run_trial(cfg, snr_db, compression, t, cache))
     return out
+
+
+def _point_chunk(args):  # pool entry point; the serial path calls _run_trials
+    return _run_trials(*args)
+
+
+def _chunk_spans(trials: int, workers: int) -> list:
+    """Contiguous [lo, hi) spans over range(trials), sizes differing by <= 1."""
+    k = max(1, min(workers, trials))
+    return [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
 
 
 def _fmt(value) -> str:
@@ -524,46 +576,41 @@ def run_sweep(
 ) -> SweepSummary:
     """Run the full sweep; optionally persist CSVs and a config echo.
 
-    Points iterate snr_db (outer) by compression (inner).  Trials are
-    independent and may run across processes; records are folded back in
-    (point, trial, method) order, so the outputs do not depend on the worker
-    count.  When out_dir is given, trials.csv is appended point by point,
-    summary.csv and config_echo.json at the end.
+    Points iterate snr_db (outer) by compression (inner).  With several
+    workers, each point is split into balanced contiguous chunks, all run on
+    one process pool.  Trials run at one OpenBLAS thread (process-global,
+    restored after) and records are folded back in (point, trial, method)
+    order, so the outputs depend on neither the worker count nor the
+    caller's BLAS threads.  When out_dir is given, trials.csv is appended
+    point by point, summary.csv and config_echo.json at the end.
     """
     if workers is None:
         workers = _worker_count()
     points = [
         (snr, comp) for snr in cfg.snr_db_grid for comp in cfg.compression_grid
     ]
+    spans = _chunk_spans(cfg.trials_per_point, workers)
+    n_chunks = len(points) * len(spans)
     out_path = Path(out_dir) if out_dir is not None else None
-    trial_file = None
-    trial_writer = None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        trial_file = open(out_path / "trials.csv", "w", newline="")
-        trial_writer = csv.writer(trial_file)
-        trial_writer.writerow(TRIAL_COLUMNS)
-
-    chunk = 50
     summary = SweepSummary()
-    try:
-        for snr_db, compression in points:
-            spans = [
-                (t, min(t + chunk, cfg.trials_per_point))
-                for t in range(0, cfg.trials_per_point, chunk)
+    with contextlib.ExitStack() as stack:
+        trial_writer = None
+        if out_path is not None:
+            out_path.mkdir(parents=True, exist_ok=True)
+            trial_file = stack.enter_context(open(out_path / "trials.csv", "w", newline=""))
+            trial_writer = csv.writer(trial_file)
+            trial_writer.writerow(TRIAL_COLUMNS)
+        if workers > 1 and n_chunks > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, n_chunks)))
+            futures = [
+                [pool.submit(_point_chunk, (cfg, snr, comp, lo, hi)) for lo, hi in spans]
+                for snr, comp in points
             ]
-            if workers > 1 and len(spans) > 1:
-                args = [
-                    (cfg, snr_db, compression, lo, hi) for lo, hi in spans
-                ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    parts = list(pool.map(_point_chunk, args))
-                records = [rec for part in parts for rec in part]
-            else:
-                cache: dict = {}
-                records = []
-                for t in range(cfg.trials_per_point):
-                    records.extend(run_trial(cfg, snr_db, compression, t, cache))
+            stack.callback(pool.shutdown, cancel_futures=True)  # on error, skip queued chunks
+            parts = ([r for f in fs for r in f.result()] for fs in futures)
+        else:
+            parts = (_run_trials(cfg, *point, 0, cfg.trials_per_point) for point in points)
+        for records in parts:
             records.sort(
                 key=lambda r: (r.trial_index, cfg.methods.index(r.method))
             )
@@ -573,9 +620,6 @@ def run_sweep(
                         trial_writer.writerow(row)
                 trial_file.flush()
             summary.rows.extend(summarize_point(records, cfg.n_samples))
-    finally:
-        if trial_file is not None:
-            trial_file.close()
 
     if out_path is not None:
         write_summary_csv(summary, out_path / "summary.csv")

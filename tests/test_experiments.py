@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from subnyq import experiments
 from subnyq.experiments import (
     METHODS,
     ExperimentConfig,
@@ -30,8 +32,8 @@ from subnyq.experiments import (
     write_summary_csv,
 )
 from subnyq.omp import OmpConfig
-from subnyq.signal_core import SamplingScheme, wrap_phase
-from subnyq.sngem import EstimatorConfig, alias_frequency
+from subnyq.signal_core import SamplingScheme, Scenario, ToneParams, synthesize, wrap_phase
+from subnyq.sngem import EstimatorConfig, alias_frequency, estimate
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -261,6 +263,103 @@ def test_run_sweep_outputs_deterministic(tmp_path):
     assert [r.method for r in s1.rows] == [r.method for r in s2.rows]
     header = (out1 / "trials.csv").read_text().splitlines()[0]
     assert header == "snr_db,compression,method,trial,tone_idx,f_true_hz,f_hat_hz,a_true,a_hat,phi_true_rad,phi_hat_rad,matched"
+
+
+needs_openblas = pytest.mark.skipif(
+    not experiments._openblas_controls(), reason="no bundled OpenBLAS found"
+)
+
+
+def blas_counts():
+    return [get() for get, _ in experiments._openblas_controls()]
+
+
+@needs_openblas
+def test_sweep_outputs_do_not_depend_on_caller_blas_threads(tmp_path):
+    cfg = ExperimentConfig(
+        snr_db_grid=(10.0,), compression_grid=(20.0,), trials_per_point=4, master_seed=3
+    )
+    with experiments._blas_threads(1):
+        run_sweep(cfg, out_dir=tmp_path / "one", workers=1)
+    with experiments._blas_threads(2):
+        run_sweep(cfg, out_dir=tmp_path / "two", workers=1)
+    run_sweep(cfg, out_dir=tmp_path / "pool", workers=2)
+    for name in ("trials.csv", "summary.csv"):
+        reference = (tmp_path / "one" / name).read_bytes()
+        for variant in ("two", "pool"):
+            assert (tmp_path / variant / name).read_bytes() == reference, (name, variant)
+
+
+@needs_openblas
+def test_sweep_restores_caller_blas_threads(monkeypatch):
+    cfg = small_config()
+    real_trial = experiments.run_trial
+    seen = []
+
+    def spy(*args):
+        seen.append(blas_counts())
+        return real_trial(*args)
+
+    def failing(*args):
+        raise RuntimeError("trial failed")
+
+    with experiments._blas_threads(2):
+        caller = blas_counts()
+        monkeypatch.setattr(experiments, "run_trial", spy)
+        run_sweep(cfg, workers=1)
+        assert seen and all(c == [1] * len(caller) for c in seen)
+        assert blas_counts() == caller
+        monkeypatch.setattr(experiments, "run_trial", failing)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_sweep(cfg, workers=1)
+        assert blas_counts() == caller
+        tone = ToneParams(frequency=440e6, amplitude=1.0, phase=0.3)
+        obs = synthesize(
+            Scenario(tones=(tone,), band_limit=1e9),
+            SamplingScheme(variant="uniform", num_samples=256, sample_rate=125e6),
+        )
+        estimate(obs, EstimatorConfig(model_order=1), 1e9)
+        assert blas_counts() == caller
+
+
+def test_sweep_starts_one_pool(monkeypatch, tmp_path):
+    started = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    cfg = small_config(snr_db_grid=(20.0, 30.0, 40.0), trials_per_point=3)
+    pooled = run_sweep(cfg, out_dir=tmp_path / "pool", workers=2)
+    assert started == [2]  # 3 points x 2 chunks on one pool
+    serial = run_sweep(cfg, out_dir=tmp_path / "serial", workers=1)
+    assert started == [2]
+    assert pooled.rows == serial.rows
+    assert (tmp_path / "pool" / "trials.csv").read_bytes() == (
+        tmp_path / "serial" / "trials.csv"
+    ).read_bytes()
+    run_sweep(replace(cfg, trials_per_point=1), workers=8)
+    assert started == [2, 3]  # never more workers than chunks
+
+
+@pytest.mark.parametrize("trials, workers", [(51, 2), (1, 2), (3, 8), (10, 4), (100, 1)])
+def test_chunk_spans_are_balanced(trials, workers):
+    spans = experiments._chunk_spans(trials, workers)
+    assert len(spans) == min(trials, workers)
+    assert spans[0][0] == 0 and spans[-1][1] == trials
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    sizes = [hi - lo for lo, hi in spans]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def test_worker_count_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("SUBNYQ_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiments._worker_count() == 1
+    monkeypatch.setenv("SUBNYQ_THREADS", "3")
+    assert experiments._worker_count() == 3
 
 
 def test_summary_csv_round_trip(tmp_path):
