@@ -48,8 +48,6 @@ class DftDictionary:
     grid_frequencies: np.ndarray
     cosines: np.ndarray  # (N, G), unnormalized
     sines: np.ndarray  # (N, G), unnormalized
-    cos_norms: np.ndarray
-    sin_norms: np.ndarray
 
     @property
     def grid_size(self) -> int:
@@ -81,8 +79,6 @@ def build_dictionary(
         grid_frequencies=freqs,
         cosines=cosines,
         sines=sines,
-        cos_norms=np.linalg.norm(cosines, axis=0),
-        sin_norms=np.linalg.norm(sines, axis=0),
     )
 
 

@@ -18,7 +18,9 @@ one.
 Random undersampling does not fold coherently, so that path estimates
 frequencies directly: greedy deflation with a nonuniform periodogram peak,
 joint two-channel Gauss-Newton refinement, and a final cyclic polish.  There
-the amplitude ratio serves as a consistency diagnostic.
+the amplitude ratio serves as a consistency diagnostic.  On a sample lattice
+(random undersampling of a base grid) the periodogram is one FFT; other
+times fall back to a direct sum.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ _MAX_AUTO_TONES = 64
 _RANGE_OVERSAMPLE = 8
 _RANGE_POWER_ITERS = 2
 _RANGE_SEED = 20110217
+# the FFT periodogram scatters the residual into M = 4*duration/step slots;
+# past this many slots per grid frequency the direct sum is cheaper
+_FFT_SLOTS_PER_FREQ = 16
+_LATTICE_TOL = 1e-9  # largest off-integer position read as rounding
 
 
 class EstimationError(RuntimeError):
@@ -512,7 +518,29 @@ def estimate(
     return result
 
 
+def _sample_lattice(tau, max_slots):
+    """Integer tau/step on the coarsest lattice of <= max_slots steps, or None."""
+    gaps = np.diff(tau)
+    if not gaps.min() > 0.0:
+        return None
+    # the step divides the smallest gap: try gap/1, gap/2, ... at once, and
+    # keep the first that puts every time within rounding of a lattice point
+    k = np.arange(1, int(max_slots * gaps.min() / tau[-1]) + 1)
+    slots = np.outer(np.rint(k * (tau[-1] / gaps.min())) / tau[-1], tau)
+    fits = np.abs(slots - np.rint(slots)).max(axis=1) <= _LATTICE_TOL
+    return np.rint(slots[np.argmax(fits)]).astype(np.intp) if fits.any() else None
+
+
 def _nonuniform_correlation(resid, tau, freqs, block: int = 2048):
+    """|sum_n resid_n exp(-2j*pi*f*tau_n)|^2 on the grid freqs = g/(4*tau[-1])."""
+    pos = _sample_lattice(tau, _FFT_SLOTS_PER_FREQ * len(freqs) / 4)
+    if pos is not None:
+        # grid point g is DFT bin g mod M, mirrored above M/2 (real input)
+        m = 4 * int(pos[-1])
+        g = np.rint(freqs * (4.0 * tau[-1])).astype(np.int64) % m
+        scattered = np.zeros(m)
+        scattered[pos] = resid
+        return np.abs(np.fft.rfft(scattered)[np.minimum(g, m - g)]) ** 2
     out = np.empty(len(freqs))
     for start in range(0, len(freqs), block):
         f_blk = freqs[start : start + block]
@@ -595,11 +623,12 @@ def estimate_nonuniform(
     """Direct multi-tone estimation from randomly undersampled data.
 
     Greedy deflation: (1) nonuniform periodogram of the signal channel on a
-    grid no coarser than 1/(4*duration), (2) Gauss-Newton refinement of the
-    peak on the joint dual-channel model, (3) shared-support least squares on
-    both channels and subtraction, repeated for K tones (or until the peak
-    falls below the residual noise floor, which is flagged).  A cyclic polish
-    pass then revisits every tone against the others' residual.
+    grid of step 1/(4*duration), one FFT on the sample lattice inferred from
+    the times or a direct sum when they lie on none, (2) Gauss-Newton
+    refinement of the peak on the joint dual-channel model, (3) shared-support
+    least squares on both channels and subtraction, repeated for K tones (or
+    until the peak falls below the residual noise floor, which is flagged).  A
+    cyclic polish pass then revisits every tone against the others' residual.
 
     No folding is involved, so frequencies are direct; the amplitude ratio is
     reported per tone as a consistency diagnostic.

@@ -43,13 +43,6 @@ def test_grid_frequencies():
     assert np.allclose(steps, BAND / 128)
 
 
-def test_atom_norms_match_columns():
-    t = np.arange(100) / 2.5e9
-    d = build_dictionary(t, BAND, 64)
-    assert np.allclose(d.cos_norms, np.linalg.norm(d.cosines, axis=0), rtol=1e-12)
-    assert np.allclose(d.sin_norms, np.linalg.norm(d.sines, axis=0), rtol=1e-12)
-
-
 def test_on_grid_exact_recovery():
     # 625 MHz sits exactly on a 128-point grid over 1 GHz
     f = 80 * (BAND / 128)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnyq.signal_core import (
@@ -35,6 +35,7 @@ from subnyq.sngem import (
     ratio_frequency,
     unfold,
 )
+from subnyq.sngem import _FFT_SLOTS_PER_FREQ, _nonuniform_correlation, _sample_lattice
 
 FS = 133e6
 BAND = 1e9
@@ -45,6 +46,40 @@ def uniform_obs(tones, n=1024, fs=FS):
     scenario = Scenario(tones=tuple(tones), band_limit=BAND)
     scheme = SamplingScheme(variant="uniform", num_samples=n, sample_rate=fs)
     return synthesize(scenario, scheme)
+
+
+def random_times(n=256, compression=8.0, seed=11, base_rate=2e9):
+    return SamplingScheme(
+        variant="random",
+        num_samples=n,
+        base_rate=base_rate,
+        compression=compression,
+        seed=seed,
+    ).times()
+
+
+def observe(tones, times):
+    return DualChannelObservation(
+        times=times,
+        x=multitone(tones, times),
+        xdot=multitone_derivative(tones, times),
+    )
+
+
+def periodogram_grid(times):
+    # the search grid of estimate_nonuniform
+    tau = times - times[0]
+    step = 1.0 / (4.0 * tau[-1])
+    return tau, np.arange(step, BAND + step / 2, step)
+
+
+def on_lattice(tau, freqs):
+    return _sample_lattice(tau, _FFT_SLOTS_PER_FREQ * len(freqs) / 4) is not None
+
+
+def direct_power(resid, tau, freqs):
+    # reference: one complex exponential per (frequency, sample) pair
+    return np.abs(np.exp(-1j * TWO_PI * np.outer(freqs, tau)) @ resid) ** 2
 
 
 def test_alias_frequency_examples():
@@ -390,3 +425,92 @@ def test_refinement_beats_ratio_law():
         ratio_errs.append(abs(est.f_ratio - f_true))
         refined_errs.append(abs(est.frequency - f_true))
     assert np.mean(refined_errs) < np.mean(ratio_errs) / 10.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    compression=st.floats(2.0, 20.0),
+    n=st.integers(16, 256),
+    t0=st.floats(0.0, 1e-5),
+    tone_frac=st.floats(0.01, 0.99),
+)
+def test_lattice_periodogram_matches_direct_sum(seed, compression, n, t0, tone_frac):
+    times = random_times(n, compression, seed) + t0
+    tau, freqs = periodogram_grid(times)
+    rng = np.random.default_rng(seed)
+    resid = np.cos(TWO_PI * tone_frac * BAND * times + 0.3) + 0.1 * rng.normal(size=n)
+    assert on_lattice(tau, freqs)
+    power = _nonuniform_correlation(resid, tau, freqs)
+    ref = direct_power(resid, tau, freqs)
+    assert np.max(np.abs(power - ref)) <= 1e-10 * ref.max()
+    assert np.argmax(power) == np.argmax(ref)
+
+
+def _jittered(times):
+    # every time moved by its own non-lattice fraction of a 2 GHz slot
+    rng = np.random.default_rng(5)
+    return times + rng.uniform(0.05, 0.45, len(times)) / 2e9
+
+
+def _gaps_of_two_or_three(n=256):
+    # every gap a multiple of 2 or 3 slots, none of 1: the step is not the
+    # smallest gap but a divisor of it
+    rng = np.random.default_rng(6)
+    return np.cumsum(rng.choice([2, 3, 4, 6, 9], n)) / 2e9
+
+
+@pytest.mark.parametrize(
+    "times, lattice",
+    [
+        (_jittered(random_times()), False),
+        (_gaps_of_two_or_three(), True),
+        (random_times(base_rate=64e9), False),  # M = 64 slots per grid frequency
+    ],
+    ids=["jittered", "gaps_2_or_3", "over_cap"],
+)
+def test_periodogram_edge_cases_match_direct_sum(times, lattice):
+    tau, freqs = periodogram_grid(times)
+    resid = multitone([ToneParams(frequency=420e6, amplitude=1.0, phase=0.2)], times)
+    assert on_lattice(tau, freqs) == lattice
+    power = _nonuniform_correlation(resid, tau, freqs)
+    ref = direct_power(resid, tau, freqs)
+    assert np.max(np.abs(power - ref)) <= 1e-10 * ref.max()
+
+
+def test_nonuniform_noiseless_recovery_off_lattice():
+    tones = [
+        ToneParams(frequency=150e6, amplitude=1.0, phase=0.4),
+        ToneParams(frequency=420e6, amplitude=0.8, phase=-0.9),
+    ]
+    times = _jittered(random_times())
+    assert not on_lattice(*periodogram_grid(times))
+    obs = observe(tones, times)
+    result = estimate_nonuniform(obs, EstimatorConfig(model_order=2), BAND)
+    assert not result.failures
+    assert len(result.tones) == 2
+    for est, tone in zip(result.tones, tones):
+        assert est.frequency == pytest.approx(tone.frequency, rel=1e-9)
+        assert est.amplitude == pytest.approx(tone.amplitude, rel=1e-9)
+
+
+def test_random_scheme_amplitude_scale_equivariance():
+    tone = ToneParams(frequency=440e6, amplitude=0.9, phase=-1.2)
+    obs = observe([tone], random_times())
+    scaled = replace(obs, x=3.5 * obs.x, xdot=3.5 * obs.xdot)
+    base = estimate(obs, EstimatorConfig(model_order=1), BAND).tones[0]
+    big = estimate(scaled, EstimatorConfig(model_order=1), BAND).tones[0]
+    assert big.amplitude == pytest.approx(3.5 * base.amplitude, rel=1e-12)
+    assert big.frequency == pytest.approx(base.frequency, rel=1e-12)
+    assert big.phase == pytest.approx(base.phase, abs=1e-10)
+
+
+def test_random_scheme_phase_covariance_under_window_delay():
+    # the delayed window starts off the base grid; tau = t - t[0] still lies
+    # on it, so the FFT periodogram runs
+    tone = ToneParams(frequency=440e6, amplitude=1.0, phase=0.7)
+    times = random_times() + 3.7e-6 + 0.3 / 2e9
+    assert on_lattice(*periodogram_grid(times))
+    obs = observe([tone], times)
+    (est,) = estimate(obs, EstimatorConfig(model_order=1), BAND).tones
+    assert abs(wrap_phase(est.phase - 0.7)) < 1e-6
