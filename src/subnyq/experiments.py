@@ -186,7 +186,6 @@ class TrialRecord:
     compression: float
     method: str
     trial_index: int
-    seed: int
     rows: tuple
     wall_time: float
 
@@ -412,7 +411,6 @@ def run_trial(
                 compression=compression,
                 method=method,
                 trial_index=trial_index,
-                seed=int(root.generate_state(1, np.uint64)[0]),
                 rows=tuple(rows),
                 wall_time=wall,
             )

@@ -16,11 +16,15 @@ the estimator's error law from the amplitude-ratio one to the phase-slope
 one.
 
 Random undersampling does not fold coherently, so that path estimates
-frequencies directly: greedy deflation with a nonuniform periodogram peak,
-joint two-channel Gauss-Newton refinement, and a final cyclic polish.  There
-the amplitude ratio serves as a consistency diagnostic.  On a sample lattice
-(random undersampling of a base grid) the periodogram is one FFT; other
-times fall back to a direct sum.
+frequencies directly: greedy peak picks on a nonuniform periodogram of the
+residual, each followed by a joint two-channel Gauss-Newton fit of all tones
+found so far.  There the amplitude ratio serves as a consistency diagnostic.
+On a sample lattice (random undersampling of a base grid) the periodogram is
+one FFT; other times fall back to a direct sum.
+
+Both paths share one variable-projection Gauss-Newton routine
+(:func:`_gauss_newton`): the linear cos/sin coefficients are least-squares
+fits at every iterate, and all frequencies step together.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
-from .bounds import tone_gradients
 from .signal_core import (
     TWO_PI,
     DualChannelObservation,
@@ -44,9 +46,9 @@ from .signal_core import (
 _RATIO_FLOOR = 1e3 * np.finfo(float).eps
 # minimum singular-value gap accepted as a model-order boundary
 _ORDER_GAP = 3.0
-# cyclic polish contracts inter-tone leakage linearly per pass
-_MAX_POLISH_PASSES = 12
-_POLISH_RTOL = 1e-13
+# variable-projection Gauss-Newton: step budget and relative stop tolerance
+_GN_STEPS = 20
+_GN_RTOL = 1e-13
 # cap on automatically extracted tones in the nonuniform path
 _MAX_AUTO_TONES = 64
 # randomized range finder for the leading Hankel subspace (Halko, Martinsson
@@ -60,6 +62,7 @@ _RANGE_SEED = 20110217
 # past this many slots per grid frequency the direct sum is cheaper
 _FFT_SLOTS_PER_FREQ = 16
 _LATTICE_TOL = 1e-9  # largest off-integer position read as rounding
+_DIRECT_BLOCK = 2048  # grid frequencies per block of the direct sum
 
 
 class EstimationError(RuntimeError):
@@ -91,10 +94,11 @@ class EstimatorConfig:
     pencil_ratio: Hankel row count as a fraction of N (uniform path).
     sv_threshold: relative singular-value cutoff, 1e-8 suits noiseless data;
     with noise the automatic order relies on the dominant gap instead.
-    refine_iters: optional joint Gauss-Newton passes over (A, f, phi) per
-    tone after the initial estimate.  Left at 0, the reported frequency
-    follows the amplitude-ratio error law; turning it on re-anchors the
-    estimate on the fold candidate and drives the error far below that law.
+    refine_iters: uniform path only, the number of joint Gauss-Newton steps
+    on all frequencies after the initial estimate.  Left at 0, the reported
+    frequency follows the amplitude-ratio error law; turning it on re-anchors
+    the estimate on the fold candidate and drives the error far below that
+    law.  The random path runs Gauss-Newton to convergence regardless.
     """
 
     model_order: int | None = None
@@ -377,12 +381,21 @@ def unfold(
     return ranked[0]
 
 
-def _channel_weight(sigma: float) -> float:
-    if math.isinf(sigma):
-        return 0.0
-    if sigma == 0.0:
-        return 1.0
-    return 1.0 / sigma
+def _channels(obs: DualChannelObservation):
+    """Both channels as columns, and their least-squares weights.
+
+    A noisy channel is weighted by 1/sigma and one with infinite noise by 0.
+    A noise-free channel is weighted by 1/rms: the derivative channel is
+    2*pi*f times the signal channel, and equal weights would let its
+    high-frequency tones drown the low-frequency ones.
+    """
+    targets = np.column_stack([obs.x, obs.xdot])
+    weights = []
+    for y, sigma in zip(targets.T, (obs.sigma_x, obs.sigma_xdot)):
+        if sigma == 0.0:
+            sigma = math.sqrt(float(np.mean(y * y))) or 1.0
+        weights.append(1.0 / sigma)
+    return targets, np.array(weights)
 
 
 def _ratio_rel_sigma(obs: DualChannelObservation, amp_x: float, amp_xdot: float):
@@ -399,55 +412,53 @@ def _ratio_rel_sigma(obs: DualChannelObservation, amp_x: float, amp_xdot: float)
     )
 
 
-def _refine_joint(obs: DualChannelObservation, tones, iters):
-    """Cyclic Gauss-Newton over (A, f, phi) per tone, both channels jointly.
+def _gauss_newton(freqs, tau, targets, weights, max_step, band_limit, steps=_GN_STEPS):
+    """Variable-projection Gauss-Newton on all tone frequencies at once.
 
-    Starts from each tone's amplitude, frequency and phase and returns the
-    tones with those three refined.
+    targets holds one channel per column and weights one weight per channel.
+    At every iterate each channel's cos/sin coefficients are its least-squares
+    fit on the current design (Golub & Pereyra, SIAM J. Numer. Anal. 1973),
+    and the Jacobian is each channel's d(model)/df with the design's span
+    projected out (Kaufman, BIT 1975).  A step is scaled so that no frequency
+    moves more than max_step; one that leaves (0, band_limit] or raises the
+    weighted cost is refused, which ends the iteration.
+
+    Returns (freqs, coefs, resid) at the last accepted iterate: coefs has a
+    cos and a sin row per tone and one column per channel.
     """
-    t = obs.times
-    w_x = _channel_weight(obs.sigma_x)
-    w_d = _channel_weight(obs.sigma_xdot)
-    tones = list(tones)
 
-    def tone_model(tone):
-        a, f = tone.amplitude, tone.frequency
-        arg = TWO_PI * f * t + tone.phase
-        return a * np.cos(arg), -TWO_PI * f * a * np.sin(arg)
+    def fit(f):
+        design = _sinusoid_design(f, tau)
+        coefs, *_ = np.linalg.lstsq(design, targets, rcond=None)
+        resid = targets - design @ coefs
+        return design, coefs, resid, float(np.sum((resid * weights) ** 2))
 
-    def full_model():
-        mx = np.zeros_like(t)
-        md = np.zeros_like(t)
-        for tone in tones:
-            tx, td = tone_model(tone)
-            mx += tx
-            md += td
-        return mx, md
-
-    for _ in range(iters):
-        for k, tone in enumerate(tones):
-            mx, md = full_model()
-            tx, td = tone_model(tone)
-            rx = obs.x - (mx - tx)
-            rd = obs.xdot - (md - td)
-            grad_x, grad_d = tone_gradients(tone, t)
-            jac = np.vstack([w_x * grad_x.T, w_d * grad_d.T])
-            resid = np.concatenate([w_x * (rx - tx), w_d * (rd - td)])
-            try:
-                step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-            except np.linalg.LinAlgError:
-                continue
-            a_new = tone.amplitude + step[0]
-            f_new = tone.frequency + step[1]
-            if a_new <= 0.0 or f_new <= 0.0:
-                continue
-            tones[k] = replace(
-                tone,
-                amplitude=a_new,
-                frequency=f_new,
-                phase=float(wrap_phase(tone.phase + step[2])),
-            )
-    return tones
+    freqs = np.asarray(freqs, dtype=float)
+    design, coefs, resid, cost = fit(freqs)
+    for _ in range(steps):
+        # d(a cos + b sin)/df = 2 pi tau (b cos - a sin), per sample, tone
+        # and channel
+        dmodel = TWO_PI * tau[:, None, None] * (
+            design[:, 0::2, None] * coefs[1::2] - design[:, 1::2, None] * coefs[0::2]
+        )
+        flat = dmodel.reshape(len(tau), -1)
+        flat = flat - design @ np.linalg.lstsq(design, flat, rcond=None)[0]
+        jac = (flat.reshape(dmodel.shape) * weights).transpose(2, 0, 1)
+        step, *_ = np.linalg.lstsq(
+            jac.reshape(-1, len(freqs)), (resid * weights).T.ravel(), rcond=None
+        )
+        step *= max_step / max(max_step, float(np.abs(step).max()))
+        trial = freqs + step
+        if trial.min() <= 0.0 or trial.max() > band_limit:
+            break
+        attempt = fit(trial)
+        if attempt[3] > cost:
+            break
+        freqs = trial
+        design, coefs, resid, cost = attempt
+        if np.max(np.abs(step) / freqs) < _GN_RTOL:
+            break
+    return freqs, coefs, resid
 
 
 def estimate(
@@ -502,17 +513,28 @@ def estimate(
             )
         )
 
-    if cfg.refine_iters > 0:
+    if cfg.refine_iters > 0 and result.tones:
         # refinement starts from the fold candidate, not the ratio estimate
-        starts = [
-            replace(
-                tone,
-                frequency=tone.fold_index * fs
-                + (-1.0 if tone.mirror else 1.0) * tone.alias_frequency,
+        tau = obs.times - t0
+        freqs, coefs, _ = _gauss_newton(
+            [
+                tone.fold_index * fs + (-1.0 if tone.mirror else 1.0) * tone.alias_frequency
+                for tone in result.tones
+            ],
+            tau,
+            *_channels(obs),
+            1.0 / (4.0 * tau[-1]),
+            band_limit,
+            steps=cfg.refine_iters,
+        )
+        for i, f_hat in enumerate(freqs):
+            amp, psi = _amp_phase(coefs[2 * i, 0], coefs[2 * i + 1, 0])
+            result.tones[i] = replace(
+                result.tones[i],
+                frequency=float(f_hat),
+                amplitude=amp,
+                phase=float(wrap_phase(psi - TWO_PI * f_hat * t0)),
             )
-            for tone in result.tones
-        ]
-        result.tones = _refine_joint(obs, starts, cfg.refine_iters)
 
     result.tones.sort(key=lambda tone: tone.frequency)
     return result
@@ -531,7 +553,7 @@ def _sample_lattice(tau, max_slots):
     return np.rint(slots[np.argmax(fits)]).astype(np.intp) if fits.any() else None
 
 
-def _nonuniform_correlation(resid, tau, freqs, block: int = 2048):
+def _nonuniform_correlation(resid, tau, freqs):
     """|sum_n resid_n exp(-2j*pi*f*tau_n)|^2 on the grid freqs = g/(4*tau[-1])."""
     pos = _sample_lattice(tau, _FFT_SLOTS_PER_FREQ * len(freqs) / 4)
     if pos is not None:
@@ -542,79 +564,11 @@ def _nonuniform_correlation(resid, tau, freqs, block: int = 2048):
         scattered[pos] = resid
         return np.abs(np.fft.rfft(scattered)[np.minimum(g, m - g)]) ** 2
     out = np.empty(len(freqs))
-    for start in range(0, len(freqs), block):
-        f_blk = freqs[start : start + block]
+    for start in range(0, len(freqs), _DIRECT_BLOCK):
+        f_blk = freqs[start : start + _DIRECT_BLOCK]
         phases = np.exp(-1j * TWO_PI * np.outer(f_blk, tau))
-        out[start : start + block] = np.abs(phases @ resid) ** 2
+        out[start : start + _DIRECT_BLOCK] = np.abs(phases @ resid) ** 2
     return out
-
-
-def _profiled_cost(f, tau, targets, weights):
-    arg = TWO_PI * f * tau
-    design = np.column_stack([np.cos(arg), np.sin(arg)])
-    cost = 0.0
-    for y, w in zip(targets, weights):
-        if w == 0.0:
-            continue
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        r = y - design @ coef
-        cost += w * w * float(r @ r)
-    return cost
-
-
-def _gn_polish_single(f, tau, targets, weights, iters: int = 3):
-    arg = TWO_PI * f * tau
-    design = np.column_stack([np.cos(arg), np.sin(arg)])
-    coefs = []
-    for y, w in zip(targets, weights):
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        coefs.append(coef)
-    for _ in range(iters):
-        arg = TWO_PI * f * tau
-        c, sn = np.cos(arg), np.sin(arg)
-        rows_j, rows_r = [], []
-        for (y, w), coef in zip(zip(targets, weights), coefs):
-            if w == 0.0:
-                continue
-            a, b = coef
-            model = a * c + b * sn
-            dmodel_df = TWO_PI * tau * (-a * sn + b * c)
-            jac = np.column_stack([c, sn, dmodel_df])
-            rows_j.append(w * jac)
-            rows_r.append(w * (y - model))
-        jac_all = np.vstack(rows_j)
-        # amplitudes are per channel, frequency is shared: solve blockwise
-        n_ch = len(rows_j)
-        big = np.zeros((sum(r.shape[0] for r in rows_j), 2 * n_ch + 1))
-        row0 = 0
-        for i, jac in enumerate(rows_j):
-            big[row0 : row0 + jac.shape[0], 2 * i : 2 * i + 2] = jac[:, :2]
-            big[row0 : row0 + jac.shape[0], -1] = jac[:, 2]
-            row0 += jac.shape[0]
-        resid = np.concatenate(rows_r)
-        step, *_ = np.linalg.lstsq(big, resid, rcond=None)
-        live = 0
-        for i, (y, w) in enumerate(zip(targets, weights)):
-            if w == 0.0:
-                continue
-            coefs[i] = coefs[i] + step[2 * live : 2 * live + 2]
-            live += 1
-        f_new = f + step[-1]
-        if f_new > 0.0:
-            f = f_new
-    return f
-
-
-def _search_and_polish(f0, grid_step, band_limit, tau, targets, weights):
-    """Bounded search within one grid step of f0, then a Gauss-Newton polish."""
-    opt = scipy.optimize.minimize_scalar(
-        _profiled_cost,
-        bounds=(max(grid_step / 2, f0 - grid_step), min(band_limit, f0 + grid_step)),
-        args=(tau, targets, weights),
-        method="bounded",
-        options={"xatol": grid_step * 1e-12},
-    )
-    return _gn_polish_single(float(opt.x), tau, targets, weights)
 
 
 def estimate_nonuniform(
@@ -622,13 +576,13 @@ def estimate_nonuniform(
 ) -> EstimationResult:
     """Direct multi-tone estimation from randomly undersampled data.
 
-    Greedy deflation: (1) nonuniform periodogram of the signal channel on a
-    grid of step 1/(4*duration), one FFT on the sample lattice inferred from
-    the times or a direct sum when they lie on none, (2) Gauss-Newton
-    refinement of the peak on the joint dual-channel model, (3) shared-support
-    least squares on both channels and subtraction, repeated for K tones (or
-    until the peak falls below the residual noise floor, which is flagged).  A
-    cyclic polish pass then revisits every tone against the others' residual.
+    Greedy picks: (1) nonuniform periodogram of the signal channel's
+    residual on a grid of step 1/(4*duration), one FFT on the sample lattice
+    inferred from the times or a direct sum when they lie on none, (2) joint
+    Gauss-Newton on the tones found so far plus the peak, fitted on both
+    channels, (3) the residual of that fit, repeated for K tones (or until the
+    peak falls below the residual noise floor, which is flagged; with a known
+    K on noise-free data every peak is taken).
 
     No folding is involved, so frequencies are direct; the amplitude ratio is
     reported per tone as a consistency diagnostic.
@@ -643,68 +597,33 @@ def estimate_nonuniform(
     if len(freqs) == 0:
         raise ValueError("empty frequency grid: band limit below grid spacing")
 
-    weights = (_channel_weight(obs.sigma_x), _channel_weight(obs.sigma_xdot))
+    targets, weights = _channels(obs)
 
     k_target = cfg.model_order if cfg.model_order is not None else _MAX_AUTO_TONES
     result = EstimationResult()
-    found: list[float] = []
-    resid_x = obs.x.copy()
-    resid_d = obs.xdot.copy()
-
-    def refit_all():
-        nonlocal resid_x, resid_d
-        design = _sinusoid_design(found, tau)
-        coef_x, *_ = np.linalg.lstsq(design, obs.x, rcond=None)
-        coef_d, *_ = np.linalg.lstsq(design, obs.xdot, rcond=None)
-        resid_x = obs.x - design @ coef_x
-        resid_d = obs.xdot - design @ coef_d
-        return coef_x, coef_d
-
-    coef_x = coef_d = np.zeros(0)
+    found = np.zeros(0)
+    resid = targets
+    # a noise-free residual of a known order holds only unfitted tones
+    floor = cfg.model_order is None or obs.sigma_x > 0.0
     for k in range(k_target):
-        power = _nonuniform_correlation(resid_x, tau, freqs)
+        power = _nonuniform_correlation(resid[:, 0], tau, freqs)
         peak = int(np.argmax(power))
         median = float(np.median(power))
         threshold = (median / math.log(2.0)) * (math.log(len(freqs)) + 4.0)
-        if power[peak] <= threshold or power[peak] == 0.0:
+        if power[peak] == 0.0 or (floor and power[peak] <= threshold):
             if cfg.model_order is not None:
                 result.warnings.append(
                     f"stopped after {k} of {cfg.model_order} tones: "
                     "periodogram peak below the residual noise floor"
                 )
             break
-        found.append(
-            _search_and_polish(
-                float(freqs[peak]), grid_step, band_limit, tau, (resid_x, resid_d), weights
-            )
+        found, coefs, resid = _gauss_newton(
+            np.append(found, freqs[peak]), tau, targets, weights, grid_step, band_limit
         )
-        coef_x, coef_d = refit_all()
 
-    for _ in range(_MAX_POLISH_PASSES if len(found) > 1 else 0):
-        previous = list(found)
-        for i in range(len(found)):
-            # deflate with the joint-fit coefficients: refitting the others
-            # alone would absorb this tone's leakage and bias its update
-            coef_x, coef_d = refit_all()
-            design = _sinusoid_design(found, tau)
-            keep = np.ones(2 * len(found), dtype=bool)
-            keep[2 * i : 2 * i + 2] = False
-            targets = (
-                obs.x - design[:, keep] @ coef_x[keep],
-                obs.xdot - design[:, keep] @ coef_d[keep],
-            )
-            found[i] = _search_and_polish(
-                found[i], grid_step, band_limit, tau, targets, weights
-            )
-        coef_x, coef_d = refit_all()
-        if max(
-            abs(f - p) / p for f, p in zip(found, previous)
-        ) < _POLISH_RTOL:
-            break
-
-    for i, f_hat in enumerate(found):
-        amp_x, psi_x = _amp_phase(coef_x[2 * i], coef_x[2 * i + 1])
-        amp_d, _ = _amp_phase(coef_d[2 * i], coef_d[2 * i + 1])
+    for i, f_hat in enumerate(map(float, found)):
+        amp_x, psi_x = _amp_phase(coefs[2 * i, 0], coefs[2 * i + 1, 0])
+        amp_d, _ = _amp_phase(coefs[2 * i, 1], coefs[2 * i + 1, 1])
         phase = float(wrap_phase(psi_x - TWO_PI * f_hat * t[0]))
         try:
             ratio, f_ratio = _amplitude_ratio(amp_x, amp_d)
@@ -730,9 +649,6 @@ def estimate_nonuniform(
                 alias_frequency=None,
             )
         )
-
-    if cfg.refine_iters > 0:
-        result.tones = _refine_joint(obs, result.tones, cfg.refine_iters)
 
     result.tones.sort(key=lambda tone: tone.frequency)
     return result

@@ -230,7 +230,7 @@ def test_summarize_point_arithmetic():
         ToneRow(2, 300.0, 1.0, 0.0, None, None, None, False),
         ToneRow(-1, None, None, None, 555.0, 0.3, 0.1, False),
     )
-    rec = TrialRecord(30.0, 16.0, "sngem", 0, 123, rows_a, 0.01)
+    rec = TrialRecord(30.0, 16.0, "sngem", 0, rows_a, 0.01)
     (row,) = summarize_point([rec], n_samples=64)
     assert row.rmse_f_rel == pytest.approx(0.01)
     assert row.rmse_a_rel == pytest.approx(0.1)
@@ -244,7 +244,7 @@ def test_summarize_point_arithmetic():
 
 def test_summarize_point_all_missed():
     rows = (ToneRow(0, 100.0, 1.0, 0.0, None, None, None, False),)
-    rec = TrialRecord(20.0, 8.0, "omp", 0, 1, rows, 0.0)
+    rec = TrialRecord(20.0, 8.0, "omp", 0, rows, 0.0)
     (row,) = summarize_point([rec], n_samples=64)
     assert row.rmse_f_rel is None
     assert row.rmse_over_crb is None
@@ -276,18 +276,30 @@ def blas_counts():
 
 @needs_openblas
 def test_sweep_outputs_do_not_depend_on_caller_blas_threads(tmp_path):
-    cfg = ExperimentConfig(
+    uniform = ExperimentConfig(
         snr_db_grid=(10.0,), compression_grid=(20.0,), trials_per_point=4, master_seed=3
     )
-    with experiments._blas_threads(1):
-        run_sweep(cfg, out_dir=tmp_path / "one", workers=1)
-    with experiments._blas_threads(2):
-        run_sweep(cfg, out_dir=tmp_path / "two", workers=1)
-    run_sweep(cfg, out_dir=tmp_path / "pool", workers=2)
-    for name in ("trials.csv", "summary.csv"):
-        reference = (tmp_path / "one" / name).read_bytes()
-        for variant in ("two", "pool"):
-            assert (tmp_path / variant / name).read_bytes() == reference, (name, variant)
+    # the random path's Gauss-Newton projections run through LAPACK too
+    random = replace(
+        uniform,
+        scheme_variant="random",
+        n_samples=256,
+        tone_count_range=(3, 3),
+        compression_grid=(8.0,),
+    )
+    for cfg in (uniform, random):
+        out = tmp_path / cfg.scheme_variant
+        with experiments._blas_threads(1):
+            run_sweep(cfg, out_dir=out / "one", workers=1)
+        with experiments._blas_threads(2):
+            run_sweep(cfg, out_dir=out / "two", workers=1)
+        run_sweep(cfg, out_dir=out / "pool", workers=2)
+        for name in ("trials.csv", "summary.csv"):
+            reference = (out / "one" / name).read_bytes()
+            for variant in ("two", "pool"):
+                assert (out / variant / name).read_bytes() == reference, (
+                    cfg.scheme_variant, name, variant,
+                )
 
 
 @needs_openblas

@@ -1,13 +1,18 @@
 """Tests for the dual-channel amplitude-ratio estimator."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import subnyq
+from subnyq.experiments import ExperimentConfig, generate_scenario
 from subnyq.signal_core import (
     DualChannelObservation,
     NoiseConfig,
@@ -35,7 +40,13 @@ from subnyq.sngem import (
     ratio_frequency,
     unfold,
 )
-from subnyq.sngem import _FFT_SLOTS_PER_FREQ, _nonuniform_correlation, _sample_lattice
+from subnyq.sngem import (
+    _FFT_SLOTS_PER_FREQ,
+    _channels,
+    _gauss_newton,
+    _nonuniform_correlation,
+    _sample_lattice,
+)
 
 FS = 133e6
 BAND = 1e9
@@ -410,21 +421,27 @@ def test_infinite_derivative_noise_skips_fold_gate():
 
 def test_refinement_beats_ratio_law():
     # with refinement on, the reported frequency re-anchors on the fold
-    # candidate and lands far below the amplitude-ratio error scale
-    f_true, snr = 440e6, 1e4
-    tone = ToneParams(frequency=f_true, amplitude=1.0, phase=0.7)
-    scenario = Scenario(tones=(tone,), band_limit=BAND)
+    # candidate and lands far below the amplitude-ratio error scale; the
+    # three tones, one on a mirrored fold, are refined as one problem
+    snr = 1e4
     noise = NoiseConfig(sigma_x=math.sqrt(1.0 / (2.0 * snr)))
-    ratio_errs, refined_errs = [], []
-    for seed in range(5):
-        obs = add_noise(uniform_obs([tone]), noise, seed=seed)
-        obs = replace(obs, scenario=scenario)
-        (est,) = estimate(
-            obs, EstimatorConfig(model_order=1, refine_iters=3), BAND
-        ).tones
-        ratio_errs.append(abs(est.f_ratio - f_true))
-        refined_errs.append(abs(est.frequency - f_true))
-    assert np.mean(refined_errs) < np.mean(ratio_errs) / 10.0
+    for freqs in ([440e6], [100e6, 440e6, 910e6]):
+        tones = [
+            ToneParams(frequency=f, amplitude=1.0 - 0.1 * i, phase=0.7 + i)
+            for i, f in enumerate(freqs)
+        ]
+        scenario = Scenario(tones=tuple(tones), band_limit=BAND)
+        cfg = EstimatorConfig(model_order=len(tones), refine_iters=3)
+        ratio_errs, refined_errs = [], []
+        for seed in range(5):
+            obs = add_noise(uniform_obs(tones), noise, seed=seed)
+            obs = replace(obs, scenario=scenario)
+            result = estimate(obs, cfg, BAND)
+            assert len(result.tones) == len(tones)
+            for est, tone in zip(result.tones, tones):
+                ratio_errs.append(abs(est.f_ratio - tone.frequency))
+                refined_errs.append(abs(est.frequency - tone.frequency))
+        assert np.mean(refined_errs) < np.mean(ratio_errs) / 10.0, freqs
 
 
 @settings(max_examples=25, deadline=None)
@@ -514,3 +531,94 @@ def test_random_scheme_phase_covariance_under_window_delay():
     obs = observe([tone], times)
     (est,) = estimate(obs, EstimatorConfig(model_order=1), BAND).tones
     assert abs(wrap_phase(est.phase - 0.7)) < 1e-6
+
+
+def _gn_problem(k=3):
+    # a noisy random-scheme record and the inputs estimate_nonuniform hands
+    # to _gauss_newton: targets, weights and the grid step
+    cfg = ExperimentConfig(scheme_variant="random", n_samples=256, tone_count_range=(k, k))
+    scheme = SamplingScheme(
+        variant="random", num_samples=256, base_rate=2 * BAND, compression=8.0, seed=4
+    )
+    scenario = generate_scenario(np.random.default_rng(4), cfg, scheme)
+    obs = add_noise(synthesize(scenario, scheme), NoiseConfig(sigma_x=0.05), seed=4)
+    tau = obs.times - obs.times[0]
+    return scenario, tau, *_channels(obs), 1.0 / (4.0 * tau[-1])
+
+
+def test_gauss_newton_steps_are_capped_and_descend():
+    scenario, tau, targets, weights, cap = _gn_problem()
+    # start every tone 1.5 grid steps off, so the first steps are capped
+    start = np.array(scenario.frequencies) + 1.5 * cap * np.array([1.0, -1.0, 1.0])
+    iterates = [
+        _gauss_newton(start, tau, targets, weights, cap, BAND, steps=s) for s in range(8)
+    ]
+    freqs = [f for f, _, _ in iterates]
+    costs = [float(np.sum((resid * weights) ** 2)) for _, _, resid in iterates]
+    moves = [np.max(np.abs(b - a)) for a, b in zip(freqs, freqs[1:])]
+    assert moves[0] == pytest.approx(cap, rel=1e-12)
+    assert max(moves) <= cap * (1.0 + 1e-12)
+    assert all(c1 <= c0 for c0, c1 in zip(costs, costs[1:]))
+    assert costs[-1] < costs[0] / 10.0
+    assert freqs[-1] == pytest.approx(scenario.frequencies, abs=0.1 * cap)
+    # the returned coefficients are the least-squares fit at the frequencies
+    f_end, coefs, resid = iterates[-1]
+    design = np.column_stack(
+        [g(TWO_PI * f * tau) for f in f_end for g in (np.cos, np.sin)]
+    )
+    assert np.allclose(targets - design @ coefs, resid)
+
+
+def test_gauss_newton_refuses_a_step_out_of_band():
+    scenario, tau, targets, weights, cap = _gn_problem(k=1)
+    (f_true,) = scenario.frequencies
+    start = np.array([f_true - 0.4 * cap])
+    # the step toward f_true would cross a band limit just below it
+    stuck, _, _ = _gauss_newton(start, tau, targets, weights, cap, f_true - 0.2 * cap)
+    assert stuck == start
+    moved, _, _ = _gauss_newton(start, tau, targets, weights, cap, BAND)
+    assert moved == pytest.approx(f_true, abs=0.01 * cap)
+
+
+def _assert_noiseless_random_recovery(seed, k, n, compression):
+    # tones at the generator's minimum separation of 4/duration
+    cfg = ExperimentConfig(scheme_variant="random", n_samples=n, tone_count_range=(k, k))
+    scheme = SamplingScheme(
+        variant="random", num_samples=n, base_rate=2 * BAND, compression=compression, seed=seed
+    )
+    scenario = generate_scenario(np.random.default_rng(seed), cfg, scheme)
+    result = estimate(synthesize(scenario, scheme), EstimatorConfig(model_order=k), BAND)
+    assert [t.frequency for t in result.tones] == pytest.approx(scenario.frequencies, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 5),
+    n=st.integers(64, 256),
+    compression=st.floats(2.0, 20.0),
+)
+# the sidelobes of the unfitted tones reach the noise-floor test's threshold
+@example(seed=1860389496, k=4, n=107, compression=20.0)
+def test_random_scheme_noiseless_recovery(seed, k, n, compression):
+    # below about 24 samples per tone a greedy pick can land on a sidelobe of
+    # the tones not yet fitted (see the xfail below)
+    assume(n >= 24 * k)
+    _assert_noiseless_random_recovery(seed, k, n, compression)
+
+
+@pytest.mark.xfail(strict=True, reason="greedy peak pick takes a sidelobe at 13 samples per tone")
+def test_random_scheme_noiseless_recovery_few_samples_per_tone():
+    _assert_noiseless_random_recovery(seed=27633, k=5, n=64, compression=17.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize drags in scipy.sparse, .spatial and .special at start-up,
+    # and nothing in the package needs it
+    src = Path(subnyq.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import subnyq; print(list(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert "subnyq.sngem" in proc.stdout
+    assert "'scipy.optimize'" not in proc.stdout
