@@ -262,25 +262,19 @@ def cmd_simulate(args) -> int:
         except (EstimationError, np.linalg.LinAlgError, ValueError) as exc:
             print(f"{method} failed: {exc}", file=sys.stderr)
             return 1
-        if method == "sngem":
-            for w in result.warnings:
-                print(f"sngem: {w}", file=sys.stderr)
-            for failure in result.failures:
-                print(
-                    f"sngem: component at alias "
-                    f"{failure.alias_frequency:.6g} Hz failed: {failure.reason}",
-                    file=sys.stderr,
-                )
+        for w in result.warnings:
+            print(f"{method}: {w}", file=sys.stderr)
+        for failure in result.failures:
+            print(
+                f"{method}: component at alias "
+                f"{failure.alias_frequency:.6g} Hz failed: {failure.reason}",
+                file=sys.stderr,
+            )
+        # a field the method leaves None (OMP's ratio and fold) is an empty cell
         for t in result.tones:
-            # the grid method has no ratio or fold bookkeeping
-            extra = (
-                (t.ratio, t.f_ratio, t.fold_index, t.mirror)
-                if method == "sngem"
-                else (None,) * 4
-            )
-            est_rows.append(
-                [_fmt(v) for v in (method, t.frequency, t.amplitude, t.phase, *extra)]
-            )
+            row = (method, t.frequency, t.amplitude, t.phase,
+                   t.ratio, t.f_ratio, t.fold_index, t.mirror)
+            est_rows.append([_fmt(v) for v in row])
     _write_csv(out / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
     return 0
 

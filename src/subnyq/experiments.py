@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .omp import OmpConfig, build_dictionary, omp_recover, prepare_stacked
+from .omp import OmpConfig, _relative_weight, build_dictionary, omp_recover, prepare_stacked
 from .signal_core import (
     NoiseConfig,
     SamplingScheme,
@@ -40,7 +40,7 @@ from .signal_core import (
     synthesize,
     wrap_phase,
 )
-from .sngem import EstimationError, EstimatorConfig, estimate
+from .sngem import EstimationError, EstimatorConfig, alias_frequency, estimate
 
 TRIAL_COLUMNS = (
     "snr_db",
@@ -241,10 +241,6 @@ def _build_scheme(cfg: ExperimentConfig, compression: float, seed: int):
     )
 
 
-def _alias(freqs: np.ndarray, fs: float) -> np.ndarray:
-    return np.abs(freqs - fs * np.round(freqs / fs))
-
-
 def generate_scenario(
     rng: np.random.Generator, cfg: ExperimentConfig, scheme: SamplingScheme
 ) -> Scenario:
@@ -272,7 +268,7 @@ def generate_scenario(
             if k > 1 and np.min(np.diff(cand)) < min_sep:
                 continue
             if fs is not None:
-                aliases = np.sort(_alias(cand, fs))
+                aliases = np.sort(alias_frequency(cand, fs))
                 if aliases[0] < min_sep or aliases[-1] > fs / 2.0 - min_sep:
                     continue
                 if k > 1 and np.min(np.diff(aliases)) < min_sep:
@@ -320,10 +316,11 @@ def match_tones(f_true, f_hat):
 def run_method(method, obs, est_cfg, omp_cfg, band_limit, omp_cache=None):
     """Run one method on an observation.
 
-    Returns the sngem EstimationResult or the OmpResult; both carry tones
-    with frequency, amplitude and phase.  omp_cache, when given, keeps the
-    last stacked OMP dictionary for reuse by the next call with the same
-    sample times, grid and noise levels.
+    Both methods return an EstimationResult of EstimatedTones; OMP's is the
+    OmpResult subclass, with the pursuit's diagnostics.  omp_cache, when
+    given, keeps the last stacked OMP dictionary for reuse by the next call
+    with the same sample times, grid, stacking and channel-noise ratio
+    sigma_x / sigma_xdot, the only way the noise levels enter the system.
     """
     if method == "sngem":
         return estimate(obs, est_cfg, band_limit)
@@ -334,8 +331,7 @@ def run_method(method, obs, est_cfg, omp_cfg, band_limit, omp_cache=None):
         band_limit,
         omp_cfg.grid_size,
         omp_cfg.use_derivative_channel,
-        obs.sigma_x,
-        obs.sigma_xdot,
+        _relative_weight(obs.sigma_x, obs.sigma_xdot),
     )
     stacked = omp_cache.get(key)
     if stacked is None:

@@ -16,11 +16,12 @@ cannot tell folds apart.  Stacking the derivative channel (atoms scaled by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .signal_core import TWO_PI, DualChannelObservation
+from .sngem import EstimatedTone, EstimationResult, _amp_phase
 
 
 @dataclass(frozen=True)
@@ -134,16 +135,10 @@ def prepare_stacked(
     )
 
 
-@dataclass(frozen=True)
-class OmpTone:
-    frequency: float
-    amplitude: float
-    phase: float
-
-
 @dataclass
-class OmpResult:
-    tones: list = field(default_factory=list)
+class OmpResult(EstimationResult):
+    """The estimator's result type plus the pursuit's diagnostics."""
+
     converged: bool = False
     iterations: int = 0
     relative_residual: float = math.nan
@@ -176,7 +171,9 @@ def omp_recover(
     :func:`prepare_stacked` (reusable across observations with the same
     channel-noise ratio).  Stops at max_iters selections or once the relative
     residual drops below residual_tol; running out of iterations first is
-    reported with converged=False and the best-so-far solution.
+    reported with converged=False and the best-so-far solution.  The tones
+    are EstimatedTones, as sngem returns, with only frequency, amplitude and
+    phase set.
     """
     if isinstance(dictionary, StackedDictionary):
         stacked = dictionary
@@ -231,14 +228,8 @@ def omp_recover(
 
     tones = []
     for i, g in enumerate(selected):
-        a, b = coef[2 * i], coef[2 * i + 1]
-        tones.append(
-            OmpTone(
-                frequency=float(base.grid_frequencies[g]),
-                amplitude=math.hypot(a, b),
-                phase=math.atan2(-b, a),
-            )
-        )
+        amplitude, phase = _amp_phase(coef[2 * i], coef[2 * i + 1])
+        tones.append(EstimatedTone(float(base.grid_frequencies[g]), amplitude, phase))
     tones.sort(key=lambda tone: tone.frequency)
     return OmpResult(
         tones=tones,

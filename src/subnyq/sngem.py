@@ -130,13 +130,15 @@ class AliasedComponent:
 
 @dataclass(frozen=True)
 class EstimatedTone:
+    """One tone from either method; the grid pursuit has no ratio or fold (None)."""
+
     frequency: float
     amplitude: float
     phase: float
-    ratio: float
-    f_ratio: float
-    fold_index: int
-    mirror: bool
+    ratio: float | None = None
+    f_ratio: float | None = None
+    fold_index: int | None = None
+    mirror: bool | None = None
     alias_frequency: float | None = None
 
 
@@ -154,16 +156,10 @@ class EstimationResult:
     failures: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.tones)
 
-    def __len__(self):
-        return len(self.tones)
-
-
-def alias_frequency(frequency: float, sample_rate: float) -> float:
-    """Alias of a frequency under uniform sampling, mapped into [0, fs/2]."""
-    return abs(frequency - sample_rate * round(frequency / sample_rate))
+def alias_frequency(frequency, sample_rate: float):
+    """Alias in [0, fs/2] of a frequency, or of each in an array, under uniform sampling."""
+    return abs(frequency - sample_rate * np.round(frequency / sample_rate))
 
 
 def _amp_phase(a: float, b: float):
@@ -252,6 +248,8 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
     rows = min(max(rows, 2), n - 1)
     cols = n - rows + 1
 
+    hank = scipy.linalg.hankel(x[:rows], x[rows - 1 :])
+
     if cfg.model_order is not None:
         k = cfg.model_order
         if n < 4 * k + 2:
@@ -260,11 +258,6 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
             raise ValueError(
                 f"pencil_ratio {cfg.pencil_ratio} too small for model order {k}"
             )
-
-    hank = scipy.linalg.hankel(x[:rows], x[rows - 1 :])
-
-    if cfg.model_order is not None:
-        k = cfg.model_order
         u, s = _leading_subspace(hank, 2 * k)
         if s[2 * k - 1] < cfg.sv_threshold * s[0]:
             raise CollisionError(
@@ -288,7 +281,7 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
         raise CollisionError(
             f"{len(merged)} distinct aliases for model order {k}: fold collision"
         )
-    merged = np.array(merged[:k]) if len(merged) > k else np.array(merged)
+    merged = np.array(merged[:k])
 
     design = _sinusoid_design(merged, tau)
     coef_x, *_ = np.linalg.lstsq(design, x, rcond=None)
@@ -481,6 +474,8 @@ def estimate(
     t0 = float(obs.times[0])
     comps = estimate_aliased_spectrum(obs, cfg)
     result = EstimationResult()
+    # refinement starts from the fold candidates, not the ratio estimates
+    fold_freqs = []
     for comp in comps:
         try:
             ratio, f_ratio = ratio_frequency(comp)
@@ -500,6 +495,7 @@ def estimate(
         # with the sign set by the fold mirror
         psi = comp.phase_x if not mirror else -comp.phase_x
         phase = float(wrap_phase(psi - TWO_PI * fold_f * t0))
+        fold_freqs.append(fold_f)
         result.tones.append(
             EstimatedTone(
                 frequency=f_ratio,
@@ -514,13 +510,9 @@ def estimate(
         )
 
     if cfg.refine_iters > 0 and result.tones:
-        # refinement starts from the fold candidate, not the ratio estimate
         tau = obs.times - t0
         freqs, coefs, _ = _gauss_newton(
-            [
-                tone.fold_index * fs + (-1.0 if tone.mirror else 1.0) * tone.alias_frequency
-                for tone in result.tones
-            ],
+            fold_freqs,
             tau,
             *_channels(obs),
             1.0 / (4.0 * tau[-1]),

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from subnyq import cli
 from subnyq.cli import (
     main,
     noise_from_dict,
@@ -15,6 +16,7 @@ from subnyq.cli import (
     simulate_config_from_dict,
 )
 from subnyq.signal_core import Scenario, ToneParams
+from subnyq.sngem import EstimationResult, ToneFailure
 
 
 def two_tone_simulate_doc(noise=None):
@@ -126,6 +128,22 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
     obs_rows = read_csv(out1 / "observation.csv")
     assert len(obs_rows) == 512
     assert set(obs_rows[0]) == {"t", "x", "xdot"}
+
+
+def test_simulate_reports_each_methods_warnings_and_failures(tmp_path, capsys, monkeypatch):
+    def run_method(method, *args):
+        return EstimationResult(
+            failures=[ToneFailure(1e7, f"{method} failure")], warnings=[f"{method} warning"]
+        )
+
+    monkeypatch.setattr(cli, "run_method", run_method)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(two_tone_simulate_doc()))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    for method in ("sngem", "omp"):
+        assert f"{method}: {method} warning" in err
+        assert f"{method}: component at alias 1e+07 Hz failed: {method} failure" in err
 
 
 def test_simulate_noiseless_accuracy(tmp_path):

@@ -1,8 +1,10 @@
 """Tests for the Monte-Carlo sweep harness."""
 
+import importlib.util
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +35,7 @@ from subnyq.experiments import (
 )
 from subnyq.omp import OmpConfig
 from subnyq.signal_core import SamplingScheme, Scenario, ToneParams, synthesize, wrap_phase
-from subnyq.sngem import EstimatorConfig, alias_frequency, estimate
+from subnyq.sngem import EstimationResult, EstimatorConfig, alias_frequency, estimate
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -221,6 +223,61 @@ def test_run_trial_noiseless_matches_truth():
     assert summary_row.rmse_over_crb is None
     assert summary_row.miss_rate == 0.0
     assert summary_row.rmse_f_rel < 1e-8
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = _load_bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS.WORKLOADS))
+def test_bench_estimate_inputs_match_run_trial(monkeypatch, name):
+    # bench/workloads.py copies run_trial's scheme, seed and noise set-up for
+    # its closed estimate() loop; the copies must draw the same inputs
+    bench = BENCH_WORKLOADS
+    cfg = replace(bench.config(bench.WORKLOADS[name], seed=1), methods=("sngem",))
+    calls = []
+
+    def record(obs, est_cfg, band_limit):
+        calls.append((obs, est_cfg))
+        return EstimationResult()
+
+    monkeypatch.setattr(experiments, "estimate", record)
+    points = bench.points(cfg)
+    for i, (expected_obs, expected_cfg) in enumerate(bench.estimate_inputs(cfg, 3)):
+        snr_db, compression = points[i % len(points)]
+        run_trial(cfg, snr_db, compression, cfg.trials_per_point + i)
+        obs, est_cfg = calls[-1]
+        for channel in ("times", "x", "xdot"):
+            np.testing.assert_array_equal(getattr(obs, channel), getattr(expected_obs, channel))
+        assert (obs.sigma_x, obs.sigma_xdot) == (expected_obs.sigma_x, expected_obs.sigma_xdot)
+        assert est_cfg == expected_cfg
+
+
+def test_omp_cache_keys_on_the_noise_ratio(monkeypatch):
+    scheme = SamplingScheme(variant="uniform", num_samples=64, sample_rate=133e6)
+    scenario = Scenario(tones=(ToneParams(amplitude=1.0, frequency=1e8, phase=0.3),), band_limit=1e9)
+    obs = synthesize(scenario, scheme)
+    builds = []
+    build = experiments.build_dictionary
+    monkeypatch.setattr(
+        experiments, "build_dictionary", lambda *args: builds.append(args) or build(*args)
+    )
+    cache = {}
+    omp_cfg = OmpConfig(grid_size=64, max_iters=1)
+    for sigma_x in (0.01, 0.02):  # bitwise-equal sigma_x / sigma_xdot: one system
+        noisy = replace(obs, sigma_x=sigma_x, sigma_xdot=sigma_x * 3e8)
+        experiments.run_method("omp", noisy, None, omp_cfg, 1e9, cache)
+    assert len(builds) == 1
+    noisy = replace(obs, sigma_x=0.01, sigma_xdot=0.01 * 4e8)
+    experiments.run_method("omp", noisy, None, omp_cfg, 1e9, cache)
+    assert len(builds) == 2
 
 
 def test_summarize_point_arithmetic():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import subnyq
 from subnyq.omp import (
     OmpConfig,
     build_dictionary,
@@ -19,6 +20,7 @@ from subnyq.signal_core import (
     synthesize,
     wrap_phase,
 )
+from subnyq.sngem import EstimatedTone, EstimationResult
 
 BAND = 1e9
 TWO_PI = 2.0 * math.pi
@@ -56,6 +58,24 @@ def test_on_grid_exact_recovery():
     assert tone.amplitude == pytest.approx(1.4, rel=1e-9)
     assert abs(wrap_phase(tone.phase - 0.9)) < 1e-9
     assert result.relative_residual < 1e-9
+
+
+def test_recover_returns_the_estimator_result_types():
+    f = 80 * (BAND / 128)
+    obs = make_obs([(f, 1.4, 0.9)], fs=133e6, n=64)
+    d = build_dictionary(obs.times, BAND, 128)
+    result = omp_recover(obs, d, OmpConfig(grid_size=128, max_iters=1))
+    assert isinstance(result, EstimationResult)
+    assert result.failures == [] and result.warnings == []
+    (tone,) = result.tones
+    assert type(tone) is EstimatedTone
+    bookkeeping = (tone.ratio, tone.f_ratio, tone.fold_index, tone.mirror, tone.alias_frequency)
+    assert bookkeeping == (None,) * 5
+
+
+def test_package_exports_resolve():
+    missing = [name for name in subnyq.__all__ if not hasattr(subnyq, name)]
+    assert missing == []
 
 
 def test_signal_channel_only_recovery():
