@@ -1,10 +1,15 @@
 """Tests for the grid-dictionary matching-pursuit baseline."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subnyq
 from subnyq.omp import (
@@ -14,9 +19,14 @@ from subnyq.omp import (
     prepare_stacked,
 )
 from subnyq.signal_core import (
+    DualChannelObservation,
+    NoiseConfig,
     SamplingScheme,
     Scenario,
     ToneParams,
+    add_noise,
+    multitone,
+    multitone_derivative,
     synthesize,
     wrap_phase,
 )
@@ -33,6 +43,56 @@ def make_obs(freq_amp_phase, fs, n=512):
     scenario = Scenario(tones=tones, band_limit=BAND)
     scheme = SamplingScheme(variant="uniform", num_samples=n, sample_rate=fs)
     return synthesize(scenario, scheme)
+
+
+def dense_atoms(t, freqs, scale=None):
+    """The materialized (stacked, when scale is given) cos/sin atoms."""
+    phases = TWO_PI * np.outer(t, freqs)
+    cos, sin = np.cos(phases), np.sin(phases)
+    if scale is None:
+        return cos, sin
+    return np.vstack([cos, -scale * sin]), np.vstack([sin, scale * cos])
+
+
+def dense_scores(cos, sin, resid):
+    """Residual energy in each grid point's 2-atom subspace, from the atoms."""
+    bc, bs = cos.T @ resid, sin.T @ resid
+    cc, cs, ss = (cos * cos).sum(0), (cos * sin).sum(0), (sin * sin).sum(0)
+    return (ss * bc**2 - 2.0 * cs * bc * bs + cc * bs**2) / (cc * ss - cs * cs)
+
+
+def dense_picks(obs, grid_size, iters):
+    """Stacked two-channel pursuit on materialized atoms, argmax picks."""
+    rel = obs.sigma_x / obs.sigma_xdot
+    freqs = np.arange(1, grid_size + 1) * (BAND / grid_size)
+    cos, sin = dense_atoms(obs.times, freqs, rel * TWO_PI * freqs)
+    y = np.concatenate([obs.x, rel * obs.xdot])
+    picks, resid = [], y
+    for _ in range(iters):
+        scores = dense_scores(cos, sin, resid)
+        scores[picks] = -np.inf
+        picks.append(int(np.argmax(scores)))
+        design = np.column_stack([a[:, g] for g in picks for a in (cos, sin)])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+    return tuple(picks)
+
+
+def assert_transform_matches_dense(t, grid_size, seed):
+    d = build_dictionary(t, BAND, grid_size)
+    assert d.cosines is None and d.sines is None
+    cos, sin = dense_atoms(t, d.grid_frequencies)
+    rows = np.random.default_rng(seed).standard_normal((2, len(t)))
+    c_r, s_r = d.correlations(rows)
+    tol = 1e-9 * len(t) * np.abs(rows).max()
+    assert np.abs(c_r - rows @ cos).max() <= tol
+    assert np.abs(s_r - rows @ sin).max() <= tol
+    # the column sums are the same sums for an all-ones residual
+    tol = 1e-9 * len(t)
+    assert np.abs(d.col_cc - (cos * cos).sum(0)).max() <= tol
+    assert np.abs(d.col_ss - (sin * sin).sum(0)).max() <= tol
+    assert np.abs(d.col_cs - (cos * sin).sum(0)).max() <= tol
+    return d
 
 
 def test_grid_frequencies():
@@ -180,3 +240,94 @@ def test_sub_nyquist_off_grid_fold_confusion():
     result = omp_recover(obs, d, OmpConfig(grid_size=1024, max_iters=1))
     err = abs(result.tones[0].frequency - 100e6)
     assert err > 10.0 * (BAND / 1024)
+
+
+def test_unconverged_pursuit_warns():
+    step = BAND / 16
+    obs = make_obs([(4 * step, 1.0, 0.3), (11 * step, 0.6, -1.0)], fs=2.5e9, n=256)
+    d = build_dictionary(obs.times, BAND, 16)
+    result = omp_recover(obs, d, OmpConfig(grid_size=16, max_iters=1))
+    assert not result.converged and result.iterations == 1
+    (warning,) = result.warnings
+    assert "max_iters=1" in warning
+    assert f"{result.relative_residual:.3g}" in warning
+    assert omp_recover(obs, d, OmpConfig(grid_size=16, max_iters=2)).warnings == []
+
+
+def test_single_channel_ties_go_to_the_lowest_alias():
+    # at fs = 1e8 and G = 1024, df/fs = 5/512: grid points g, 512-g, 512+g
+    # and 1024-g (1-based) span one subspace on the signal channel
+    grid = 1024
+    obs = make_obs([(700 * (BAND / grid), 1.0, 0.4)], fs=1e8)
+    d = build_dictionary(obs.times, BAND, grid)
+    cfg = OmpConfig(grid_size=grid, max_iters=1, use_derivative_channel=False)
+    result = omp_recover(obs, d, cfg)
+    scores = dense_scores(*dense_atoms(obs.times, d.grid_frequencies), obs.x)
+    tied = np.flatnonzero(scores >= scores.max() * (1.0 - 1e-9))
+    assert list(tied + 1) == [188, 324, 700, 836]
+    assert result.selected_indices == (tied[0],)
+    assert result.converged
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    fs=st.floats(1e6, 1e10),
+    t0=st.floats(1e-9, 1e-6),
+    n=st.integers(8, 512),
+    grid_size=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniform_transform_matches_dense_atoms(fs, t0, n, grid_size, seed):
+    assert_transform_matches_dense(t0 + np.arange(n) / fs, grid_size, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(8, 256),
+    compression=st.floats(1.0, 16.0),
+    grid_size=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_scheme_transform_matches_dense_atoms(n, compression, grid_size, seed):
+    scheme = SamplingScheme(
+        variant="random", num_samples=n, base_rate=2 * BAND, compression=compression, seed=seed
+    )
+    assert_transform_matches_dense(scheme.times(), grid_size, seed)
+
+
+def test_transform_at_multiples_of_half_the_sample_rate():
+    # fs/2 is 8 grid steps: there every sine atom vanishes on the samples
+    grid = 128
+    d = assert_transform_matches_dense(np.arange(256) / (2 * BAND / 16), grid, 3)
+    half_fs = np.arange(7, grid, 8)
+    assert np.abs(d.col_ss[half_fs]).max() <= 1e-9 * 256
+    assert np.abs(d.correlations(np.ones((1, 256)))[1][0, half_fs]).max() <= 1e-9 * 256
+
+
+def test_lattice_and_jittered_times_pick_as_materialized_atoms():
+    tones = tuple(
+        ToneParams(frequency=f, amplitude=a, phase=p)
+        for f, a, p in ((150e6, 1.0, 0.1), (420e6, 0.8, 1.2), (770e6, 0.5, -2.0))
+    )
+    uniform = np.arange(512) / 133e6
+    jitter = np.random.default_rng(7).uniform(0.05, 0.45, 512) / 133e6
+    noise = NoiseConfig(sigma_x=0.05, reference_frequency=4e8)
+    for times, lattice in ((uniform, True), (uniform + jitter, False)):
+        clean = DualChannelObservation(
+            times, multitone(tones, times), multitone_derivative(tones, times)
+        )
+        obs = add_noise(clean, noise, seed=11)
+        d = build_dictionary(times, BAND, 256)
+        assert (d.cosines is None) == lattice
+        result = omp_recover(obs, d, OmpConfig(grid_size=256, max_iters=5))
+        assert result.selected_indices == dense_picks(obs, 256, 5)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal (its czt) would add a few tenths of a second to every import
+    src = Path(subnyq.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import subnyq; "
+        "assert 'scipy.signal' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
