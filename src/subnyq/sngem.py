@@ -52,11 +52,10 @@ _GN_RTOL = 1e-13
 # cap on automatically extracted tones in the nonuniform path
 _MAX_AUTO_TONES = 64
 # randomized range finder for the leading Hankel subspace (Halko, Martinsson
-# & Tropp, SIAM Rev. 2011): extra test vectors beyond 2K, power iterations
-# against slowly decaying noise spectra, and a fixed seed so that reruns are
-# byte-identical
+# & Tropp, SIAM Rev. 2011): extra test vectors beyond 2K, which with one power
+# step hold the subspace against a flat noise spectrum, and a fixed seed so
+# that reruns are byte-identical
 _RANGE_OVERSAMPLE = 8
-_RANGE_POWER_ITERS = 2
 _RANGE_SEED = 20110217
 # the FFT periodogram scatters the residual into M = 4*duration/step slots;
 # past this many slots per grid frequency the direct sum is cheaper
@@ -197,18 +196,18 @@ def _leading_subspace(hank, rank):
     """Leading left singular vectors and values of hank, from a random sketch.
 
     Returns (u, s) with rank + _RANGE_OVERSAMPLE columns and values (capped
-    at min(hank.shape)), in decreasing order like a truncated SVD.  The
-    sketch is re-orthonormalised after every product so that singular values
-    far below the largest survive for the collision test; forming hank hank^T
-    would square their ratio into the rounding floor.
+    at min(hank.shape)), in decreasing order like a truncated SVD.  One power
+    step in three Hankel products gives hank ~ q r z^T, so the SVD of the
+    small square r yields the values and, through q, the vectors.  Every
+    product is re-orthonormalised so that values far below the largest
+    survive for the collision test; hank hank^T would square their ratio.
     """
     width = min(rank + _RANGE_OVERSAMPLE, *hank.shape)
     omega = np.random.default_rng(_RANGE_SEED).standard_normal((hank.shape[1], width))
     q, _ = np.linalg.qr(hank @ omega)
-    for _ in range(_RANGE_POWER_ITERS):
-        q, _ = np.linalg.qr(hank.T @ q)
-        q, _ = np.linalg.qr(hank @ q)
-    u_small, s, _ = scipy.linalg.svd(q.T @ hank, full_matrices=False)
+    z, _ = np.linalg.qr(hank.T @ q)
+    q, r = np.linalg.qr(hank @ z)
+    u_small, s, _ = scipy.linalg.svd(r)
     return q @ u_small, s
 
 
@@ -219,11 +218,11 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
     L = round(pencil_ratio * N) rows and takes its leading 2K left singular
     vectors, solves the shift-invariance pencil on them as a generalized
     eigenvalue problem for the unit-circle roots, merges conjugate pairs into
-    K alias frequencies, and least-squares fits both channels on the shared
-    {cos, sin} support.
+    K alias frequencies, and fits both channels on the shared {cos, sin}
+    support in one least-squares solve.
 
     With a known model order K the pencil reads nothing beyond those 2K
-    vectors, so they come from a seeded randomized range finder
+    vectors, so they come from a seeded one-power-step range finder
     (:func:`_leading_subspace`) at a small fraction of a full SVD's cost; the
     fixed seed keeps reruns byte-identical.  Automatic order selection looks
     for a gap anywhere in the singular-value spectrum, so it takes the full
@@ -284,8 +283,8 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
     merged = np.array(merged[:k])
 
     design = _sinusoid_design(merged, tau)
-    coef_x, *_ = np.linalg.lstsq(design, x, rcond=None)
-    coef_d, *_ = np.linalg.lstsq(design, obs.xdot, rcond=None)
+    coefs, *_ = np.linalg.lstsq(design, np.column_stack([x, obs.xdot]), rcond=None)
+    coef_x, coef_d = coefs.T
 
     comps = []
     for i, f_a in enumerate(merged):
