@@ -13,27 +13,27 @@ cannot tell folds apart.  Stacking the derivative channel (atoms scaled by
 2*pi*f_g, each channel whitened by its noise level) breaks that degeneracy.
 Grid points whose scores tie within rounding go to the lowest frequency.
 
-The dictionary is implicit when the sample times lie on a lattice, as both
-sampling schemes' do: C^T r - i S^T r is the DTFT of the residual r at f_g,
-which one Bluestein chirp-z transform (Rabiner, Schafer & Rader 1969) of the
-lattice-scattered residual gives for every grid point at once, and the
-column sums |C|^2, |S|^2 and C.S follow from the DTFT of the sample indicator
-at 2 f_g.  Off a lattice the N x G cos/sin matrices are materialized.  Either
-way the derivative channel's atoms (-s S, s C), s = w * 2*pi*f_g, are folded
-into the scores in closed form, and only the selected atoms are ever built.
+The dictionary is never materialized: C^T r - i S^T r is the DTFT of the
+residual r at f_g, which :func:`sngem._grid_dtft` (the routine behind the
+random path's periodogram) gives for every grid point at once, by FFT when
+the sample times lie on a lattice, as both sampling schemes' do, and by a
+blocked direct sum otherwise.  The column sums |C|^2, |S|^2 and C.S follow
+from the same transform of the sample indicator at 2 f_g.  The derivative
+channel's atoms (-s S, s C), s = w * 2*pi*f_g, are folded into the scores in
+closed form, and only the selected atoms are ever built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signal_core import TWO_PI, DualChannelObservation
-from .sngem import EstimatedTone, EstimationResult, _amp_phase, _sample_lattice
+from .sngem import EstimatedTone, EstimationResult, _amp_phase, _grid_dtft
 
-_LATTICE_SLOTS_PER_POINT = 16  # largest lattice taken, per sample plus grid point
 _TIE_RTOL = 1e-9  # scores this close to the best count as tied
 
 
@@ -53,56 +53,25 @@ class OmpConfig:
             raise ValueError("residual_tol must be nonnegative")
 
 
-def _bluestein(t, positions, freqs):
-    """Chirp-z factors of sum_n z_n exp(-2j*pi*f*t_n) for every f in freqs.
-
-    Takes freqs = (1..G) * freqs[0] and t_n = t_0 + positions_n * step; then
-    g*p = (g^2 + p^2 - (g-p)^2) / 2 turns the sum into a convolution with the
-    chirp exp(1j*pi*alpha*d^2), alpha = freqs[0] * step.  Returns the input
-    chirp at the positions, the spectrum of the convolution kernel and the
-    output chirp times the phase of t_0.
-    """
-    span = int(positions[-1]) + 1
-    count = len(freqs)
-    alpha = freqs[0] * ((t[-1] - t[0]) / positions[-1])
-    size = 1 << (span + count - 1).bit_length()
-    chirp = np.exp(-1j * np.pi * ((alpha * np.arange(max(span, count + 1)) ** 2) % 2.0))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[: span + count] = np.conj(chirp[np.abs(np.arange(span + count) - (span - 1))])
-    start = np.exp(-1j * TWO_PI * ((freqs * t[0]) % 1.0))
-    return chirp[positions], np.fft.fft(kernel), chirp[1 : count + 1] * start
-
-
-def _chirp_z(rows, positions, chirp_in, kernel_spectrum, chirp_out):
-    """One transform of every row scattered to its lattice positions."""
-    span = int(positions[-1]) + 1
-    scattered = np.zeros((len(rows), len(kernel_spectrum)), dtype=complex)
-    scattered[:, positions] = rows * chirp_in
-    conv = np.fft.ifft(np.fft.fft(scattered) * kernel_spectrum)
-    return conv[:, span : span + len(chirp_out)] * chirp_out
-
-
 @dataclass(frozen=True)
 class DftDictionary:
-    """(cos, sin) atom pairs on a regular frequency grid, with their column sums.
+    """(cos, sin) atom pairs on a regular frequency grid, kept as their transform.
 
-    On a sample lattice only the chirp-z state is kept (positions and the
-    chirp_* / kernel_spectrum arrays) and cosines / sines are None; off one
-    the atoms are materialized and the lattice fields are None.
+    dtft maps residual rows to C^T r - i S^T r (see :func:`sngem._grid_dtft`);
+    the column sums are stored.
     """
 
     sample_times: np.ndarray
     band_limit: float
     grid_frequencies: np.ndarray
-    cosines: np.ndarray | None  # (N, G), unnormalized
-    sines: np.ndarray | None  # (N, G), unnormalized
+    # always None: the atoms are never materialized, but the bench's
+    # bench/tracing.py::_observe_stacked still reads both names
+    cosines: None
+    sines: None
     col_cc: np.ndarray  # (G,) |C|^2
     col_ss: np.ndarray  # (G,) |S|^2
     col_cs: np.ndarray  # (G,) C.S
-    positions: np.ndarray | None = None  # (N,) lattice slot of each sample
-    chirp_in: np.ndarray | None = None
-    kernel_spectrum: np.ndarray | None = None
-    chirp_out: np.ndarray | None = None
+    dtft: Callable[[np.ndarray], np.ndarray]
 
     @property
     def grid_size(self) -> int:
@@ -110,11 +79,7 @@ class DftDictionary:
 
     def correlations(self, rows):
         """C^T r and S^T r at every grid point, for each row r: two (rows, G) arrays."""
-        if self.cosines is not None:
-            return rows @ self.cosines, rows @ self.sines
-        dtft = _chirp_z(
-            rows, self.positions, self.chirp_in, self.kernel_spectrum, self.chirp_out
-        )
+        dtft = self.dtft(rows)
         return dtft.real, -dtft.imag
 
 
@@ -123,9 +88,9 @@ def build_dictionary(
 ) -> DftDictionary:
     """The grid dictionary over the given sample times.
 
-    O(N + G) state on a sample lattice, the N x G atoms off one.  Construction
-    is pure; callers running many recoveries over the same (times,
-    band_limit, grid_size) should memoize the result themselves.
+    O(N + G) state on and off a sample lattice.  Construction is pure;
+    callers running many recoveries over the same (times, band_limit,
+    grid_size) should memoize the result themselves.
     """
     t = np.asarray(sample_times, dtype=float)
     if len(t) < 2:
@@ -135,24 +100,8 @@ def build_dictionary(
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     freqs = np.arange(1, grid_size + 1) * (band_limit / grid_size)
-    pos = _sample_lattice(t - t[0], _LATTICE_SLOTS_PER_POINT * (len(t) + grid_size))
-    if pos is None:
-        phases = TWO_PI * np.outer(t, freqs)
-        cosines = np.cos(phases)
-        sines = np.sin(phases)
-        return DftDictionary(
-            sample_times=t,
-            band_limit=float(band_limit),
-            grid_frequencies=freqs,
-            cosines=cosines,
-            sines=sines,
-            col_cc=np.sum(cosines * cosines, axis=0),
-            col_ss=np.sum(sines * sines, axis=0),
-            col_cs=np.sum(cosines * sines, axis=0),
-        )
-    chirp_in, kernel_spectrum, chirp_out = _bluestein(t, pos, freqs)
     # sum_n exp(-2j*pi*2*f_g*t_n) = sum cos(4 pi f_g t) - i sum sin(4 pi f_g t)
-    twice = _chirp_z(np.ones((1, len(t))), pos, *_bluestein(t, pos, 2.0 * freqs))[0]
+    twice = _grid_dtft(t, 2.0 * freqs)(np.ones((1, len(t))))[0]
     half = 0.5 * len(t)
     return DftDictionary(
         sample_times=t,
@@ -163,10 +112,7 @@ def build_dictionary(
         col_cc=half + 0.5 * twice.real,
         col_ss=half - 0.5 * twice.real,
         col_cs=-0.5 * twice.imag,
-        positions=pos,
-        chirp_in=chirp_in,
-        kernel_spectrum=kernel_spectrum,
-        chirp_out=chirp_out,
+        dtft=_grid_dtft(t, freqs),
     )
 
 

@@ -19,8 +19,9 @@ Random undersampling does not fold coherently, so that path estimates
 frequencies directly: greedy peak picks on a nonuniform periodogram of the
 residual, each followed by a joint two-channel Gauss-Newton fit of all tones
 found so far.  There the amplitude ratio serves as a consistency diagnostic.
-On a sample lattice (random undersampling of a base grid) the periodogram is
-one FFT; other times fall back to a direct sum.
+The periodogram comes from :func:`_grid_dtft`, which the grid pursuit's
+scores share: on a sample lattice (random undersampling of a base grid) it is
+FFT-based, and other times fall back to a direct sum.
 
 Both paths share one variable-projection Gauss-Newton routine
 (:func:`_gauss_newton`): the linear cos/sin coefficients are least-squares
@@ -57,9 +58,9 @@ _MAX_AUTO_TONES = 64
 # that reruns are byte-identical
 _RANGE_OVERSAMPLE = 8
 _RANGE_SEED = 20110217
-# the FFT periodogram scatters the residual into M = 4*duration/step slots;
-# past this many slots per grid frequency the direct sum is cheaper
-_FFT_SLOTS_PER_FREQ = 16
+# largest lattice a grid transform scatters onto, in slots per sample plus
+# grid point; past it the direct sum is cheaper
+_LATTICE_SLOTS_PER_POINT = 16
 _LATTICE_TOL = 1e-9  # largest off-integer position read as rounding
 _DIRECT_BLOCK = 2048  # grid frequencies per block of the direct sum
 
@@ -544,22 +545,62 @@ def _sample_lattice(tau, max_slots):
     return np.rint(slots[np.argmax(fits)]).astype(np.intp) if fits.any() else None
 
 
-def _nonuniform_correlation(resid, tau, freqs):
-    """|sum_n resid_n exp(-2j*pi*f*tau_n)|^2 on the grid freqs = g/(4*tau[-1])."""
-    pos = _sample_lattice(tau, _FFT_SLOTS_PER_FREQ * len(freqs) / 4)
-    if pos is not None:
-        # grid point g is DFT bin g mod M, mirrored above M/2 (real input)
-        m = 4 * int(pos[-1])
-        g = np.rint(freqs * (4.0 * tau[-1])).astype(np.int64) % m
-        scattered = np.zeros(m)
-        scattered[pos] = resid
-        return np.abs(np.fft.rfft(scattered)[np.minimum(g, m - g)]) ** 2
-    out = np.empty(len(freqs))
-    for start in range(0, len(freqs), _DIRECT_BLOCK):
-        f_blk = freqs[start : start + _DIRECT_BLOCK]
-        phases = np.exp(-1j * TWO_PI * np.outer(f_blk, tau))
-        out[start : start + _DIRECT_BLOCK] = np.abs(phases @ resid) ** 2
-    return out
+def _grid_dtft(t, freqs):
+    """The transform rows -> sum_n rows[:, n] exp(-2j*pi*f*t_n) at every f in freqs.
+
+    Takes freqs = (1..G) * freqs[0] and returns a function from real (R, N)
+    rows to the complex (R, G) DTFT.  On a sample lattice of at most
+    _LATTICE_SLOTS_PER_POINT * (N + G) slots, a grid of DFT bins of an
+    M-slot lattice (span <= M <= that cap) is one length-M rfft, its bins
+    wrapped mod M and mirrored (conjugated) above M/2; any other grid is one
+    Bluestein chirp-z transform (Rabiner, Schafer & Rader 1969), whose
+    identity g*p = (g^2 + p^2 - (g-p)^2) / 2 turns the sum into a
+    convolution with a chirp.  Off a lattice it is a direct sum in blocks of
+    _DIRECT_BLOCK frequencies.
+    """
+    tau = t - t[0]
+    count = len(freqs)
+    cap = _LATTICE_SLOTS_PER_POINT * (len(t) + count)
+    pos = _sample_lattice(tau, cap)
+    if pos is None:
+
+        def transform(rows):
+            out = np.empty((len(rows), count), dtype=complex)
+            for start in range(0, count, _DIRECT_BLOCK):
+                phases = np.outer(tau, freqs[start : start + _DIRECT_BLOCK])
+                out[:, start : start + _DIRECT_BLOCK] = rows @ np.exp(-1j * TWO_PI * phases)
+            return out
+
+    else:
+        span = int(pos[-1]) + 1
+        cycles = freqs[0] * (tau[-1] / pos[-1])  # grid step, in cycles per slot
+        m = int(np.rint(1.0 / cycles))
+        if abs(1.0 / cycles - m) <= _LATTICE_TOL and span <= m <= cap:
+            g = np.arange(1, count + 1) % m
+            bins, mirror = np.minimum(g, m - g), g > m - g
+
+            def transform(rows):
+                scattered = np.zeros((len(rows), m))
+                scattered[:, pos] = rows
+                spectrum = np.fft.rfft(scattered)[:, bins]
+                return np.where(mirror, spectrum.conj(), spectrum)
+
+        else:
+            size = 1 << (span + count - 1).bit_length()
+            chirp = np.exp(-1j * np.pi * ((cycles * np.arange(max(span, count + 1)) ** 2) % 2.0))
+            kernel = np.conj(chirp[np.abs(np.arange(span + count) - (span - 1))])
+            kernel = np.fft.fft(kernel, size)
+
+            def transform(rows):
+                scattered = np.zeros((len(rows), size), dtype=complex)
+                scattered[:, pos] = rows * chirp[pos]
+                conv = np.fft.ifft(np.fft.fft(scattered) * kernel)
+                return conv[:, span : span + count] * chirp[1 : count + 1]
+
+    if t[0] == 0.0:
+        return transform
+    start = np.exp(-1j * TWO_PI * ((freqs * t[0]) % 1.0))
+    return lambda rows: transform(rows) * start
 
 
 def estimate_nonuniform(
@@ -568,7 +609,7 @@ def estimate_nonuniform(
     """Direct multi-tone estimation from randomly undersampled data.
 
     Greedy picks: (1) nonuniform periodogram of the signal channel's
-    residual on a grid of step 1/(4*duration), one FFT on the sample lattice
+    residual on a grid of step 1/(4*duration), by FFT on the sample lattice
     inferred from the times or a direct sum when they lie on none, (2) joint
     Gauss-Newton on the tones found so far plus the peak, fitted on both
     channels, (3) the residual of that fit, repeated for K tones (or until the
@@ -589,6 +630,7 @@ def estimate_nonuniform(
         raise ValueError("empty frequency grid: band limit below grid spacing")
 
     targets, weights = _channels(obs)
+    dtft = _grid_dtft(tau, freqs)
 
     k_target = cfg.model_order if cfg.model_order is not None else _MAX_AUTO_TONES
     result = EstimationResult()
@@ -597,7 +639,7 @@ def estimate_nonuniform(
     # a noise-free residual of a known order holds only unfitted tones
     floor = cfg.model_order is None or obs.sigma_x > 0.0
     for k in range(k_target):
-        power = _nonuniform_correlation(resid[:, 0], tau, freqs)
+        power = np.abs(dtft(resid[:, :1].T)[0]) ** 2
         peak = int(np.argmax(power))
         median = float(np.median(power))
         threshold = (median / math.log(2.0)) * (math.log(len(freqs)) + 4.0)

@@ -30,7 +30,12 @@ from subnyq.signal_core import (
     synthesize,
     wrap_phase,
 )
-from subnyq.sngem import EstimatedTone, EstimationResult
+from subnyq.sngem import (
+    _LATTICE_SLOTS_PER_POINT,
+    EstimatedTone,
+    EstimationResult,
+    _sample_lattice,
+)
 
 BAND = 1e9
 TWO_PI = 2.0 * math.pi
@@ -78,9 +83,15 @@ def dense_picks(obs, grid_size, iters):
     return tuple(picks)
 
 
+def on_lattice(t, grid_size):
+    """Whether the grid transform over these times takes a lattice path."""
+    cap = _LATTICE_SLOTS_PER_POINT * (len(t) + grid_size)
+    return _sample_lattice(t - t[0], cap) is not None
+
+
 def assert_transform_matches_dense(t, grid_size, seed):
     d = build_dictionary(t, BAND, grid_size)
-    assert d.cosines is None and d.sines is None
+    assert on_lattice(t, grid_size)
     cos, sin = dense_atoms(t, d.grid_frequencies)
     rows = np.random.default_rng(seed).standard_normal((2, len(t)))
     c_r, s_r = d.correlations(rows)
@@ -318,7 +329,7 @@ def test_lattice_and_jittered_times_pick_as_materialized_atoms():
         )
         obs = add_noise(clean, noise, seed=11)
         d = build_dictionary(times, BAND, 256)
-        assert (d.cosines is None) == lattice
+        assert on_lattice(times, 256) == lattice
         result = omp_recover(obs, d, OmpConfig(grid_size=256, max_iters=5))
         assert result.selected_indices == dense_picks(obs, 256, 5)
 

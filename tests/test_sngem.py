@@ -42,11 +42,11 @@ from subnyq.sngem import (
     unfold,
 )
 from subnyq.sngem import (
-    _FFT_SLOTS_PER_FREQ,
+    _LATTICE_SLOTS_PER_POINT,
     _channels,
     _gauss_newton,
+    _grid_dtft,
     _leading_subspace,
-    _nonuniform_correlation,
     _sample_lattice,
 )
 
@@ -87,7 +87,13 @@ def periodogram_grid(times):
 
 
 def on_lattice(tau, freqs):
-    return _sample_lattice(tau, _FFT_SLOTS_PER_FREQ * len(freqs) / 4) is not None
+    cap = _LATTICE_SLOTS_PER_POINT * (len(tau) + len(freqs))
+    return _sample_lattice(tau, cap) is not None
+
+
+def periodogram(resid, tau, freqs):
+    # the periodogram of estimate_nonuniform
+    return np.abs(_grid_dtft(tau, freqs)(resid[None, :])[0]) ** 2
 
 
 def direct_power(resid, tau, freqs):
@@ -485,7 +491,7 @@ def test_lattice_periodogram_matches_direct_sum(seed, compression, n, t0, tone_f
     rng = np.random.default_rng(seed)
     resid = np.cos(TWO_PI * tone_frac * BAND * times + 0.3) + 0.1 * rng.normal(size=n)
     assert on_lattice(tau, freqs)
-    power = _nonuniform_correlation(resid, tau, freqs)
+    power = periodogram(resid, tau, freqs)
     ref = direct_power(resid, tau, freqs)
     assert np.max(np.abs(power - ref)) <= 1e-10 * ref.max()
     assert np.argmax(power) == np.argmax(ref)
@@ -509,7 +515,8 @@ def _gaps_of_two_or_three(n=256):
     [
         (_jittered(random_times()), False),
         (_gaps_of_two_or_three(), True),
-        (random_times(base_rate=64e9), False),  # M = 64 slots per grid frequency
+        # 8192 slots, above the cap of 16 * (256 samples + 128 grid points)
+        (random_times(compression=32.0, base_rate=256e9), False),
     ],
     ids=["jittered", "gaps_2_or_3", "over_cap"],
 )
@@ -517,9 +524,37 @@ def test_periodogram_edge_cases_match_direct_sum(times, lattice):
     tau, freqs = periodogram_grid(times)
     resid = multitone([ToneParams(frequency=420e6, amplitude=1.0, phase=0.2)], times)
     assert on_lattice(tau, freqs) == lattice
-    power = _nonuniform_correlation(resid, tau, freqs)
+    power = periodogram(resid, tau, freqs)
     ref = direct_power(resid, tau, freqs)
     assert np.max(np.abs(power - ref)) <= 1e-10 * ref.max()
+
+
+T0 = 3.7e-6  # absolute times: every transform carries the phase of t_0
+
+
+@pytest.mark.parametrize(
+    "times, grid, lattice",
+    [
+        # periodogram grids on an M = 4*duration*base_rate slot DFT: with a
+        # 1 GHz band they run to M/2, to M (mirrored bins) and to 2M (wrapped)
+        (random_times(base_rate=2e9) + T0, None, True),
+        (random_times(base_rate=1e9) + T0, None, True),
+        (random_times(base_rate=0.5e9) + T0, None, True),
+        # the pursuit's grid at 133 MS/s is no DFT bins: Bluestein
+        (T0 + np.arange(512) / FS, np.arange(1, 1025) * (BAND / 1024), True),
+        (_jittered(random_times()) + T0, None, False),
+    ],
+    ids=["bins_to_half", "bins_mirrored", "bins_wrapped", "bluestein", "direct"],
+)
+def test_grid_dtft_matches_dense_sum(times, grid, lattice):
+    freqs = periodogram_grid(times)[1] if grid is None else grid
+    assert on_lattice(times - times[0], freqs) == lattice
+    rows = np.random.default_rng(8).standard_normal((2, len(times)))
+    dtft = _grid_dtft(times, freqs)(rows)
+    ref = rows @ np.exp(-1j * TWO_PI * np.outer(times, freqs))
+    tol = 1e-10 * np.abs(ref).max()
+    assert np.abs(dtft.real - ref.real).max() <= tol
+    assert np.abs(dtft.imag - ref.imag).max() <= tol
 
 
 def test_nonuniform_noiseless_recovery_off_lattice():
