@@ -30,6 +30,7 @@ fits at every iterate, and all frequencies step together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -193,21 +194,36 @@ def _auto_order(s, sv_threshold):
     return best_rank // 2
 
 
-def _leading_subspace(hank, rank):
-    """Leading left singular vectors and values of hank, from a random sketch.
+@functools.lru_cache(maxsize=8)
+def _test_matrix_spectrum(n, cols, width):
+    """Read-only conj(rfft) of the seeded cols x width test matrix, padded to n."""
+    omega = np.random.default_rng(_RANGE_SEED).standard_normal((cols, width))
+    spectrum = np.fft.rfft(omega, n, axis=0).conj()
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _leading_subspace(x, rows, rank):
+    """Leading left singular vectors and values of rows-row hank[i, j] = x[i + j].
 
     Returns (u, s) with rank + _RANGE_OVERSAMPLE columns and values (capped
     at min(hank.shape)), in decreasing order like a truncated SVD.  One power
-    step in three Hankel products gives hank ~ q r z^T, so the SVD of the
+    step in three products, each an exact FFT correlation with x (i + j < N
+    never wraps), gives hank ~ q r z^T without forming hank; the SVD of the
     small square r yields the values and, through q, the vectors.  Every
     product is re-orthonormalised so that values far below the largest
     survive for the collision test; hank hank^T would square their ratio.
     """
-    width = min(rank + _RANGE_OVERSAMPLE, *hank.shape)
-    omega = np.random.default_rng(_RANGE_SEED).standard_normal((hank.shape[1], width))
-    q, _ = np.linalg.qr(hank @ omega)
-    z, _ = np.linalg.qr(hank.T @ q)
-    q, r = np.linalg.qr(hank @ z)
+    n, cols = len(x), len(x) - rows + 1
+    x_spectrum = np.fft.rfft(x)[:, None]
+
+    def hank_times(v_spectrum, length):  # hank @ v, or hank^T @ v by length
+        return np.fft.irfft(x_spectrum * v_spectrum, n, axis=0)[:length]
+
+    width = min(rank + _RANGE_OVERSAMPLE, rows, cols)
+    q, _ = np.linalg.qr(hank_times(_test_matrix_spectrum(n, cols, width), rows))
+    z, _ = np.linalg.qr(hank_times(np.fft.rfft(q, n, axis=0).conj(), cols))
+    q, r = np.linalg.qr(hank_times(np.fft.rfft(z, n, axis=0).conj(), rows))
     u_small, s, _ = scipy.linalg.svd(r)
     return q @ u_small, s
 
@@ -215,18 +231,18 @@ def _leading_subspace(hank, rank):
 def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig):
     """Recover the aliased line spectrum from a uniformly sampled observation.
 
-    Builds the Hankel matrix of the signal channel with
-    L = round(pencil_ratio * N) rows and takes its leading 2K left singular
-    vectors, solves the shift-invariance pencil on them as a generalized
-    eigenvalue problem for the unit-circle roots, merges conjugate pairs into
-    K alias frequencies, and fits both channels on the shared {cos, sin}
-    support in one least-squares solve.
+    Takes the leading 2K left singular vectors of the signal channel's Hankel
+    matrix with L = round(pencil_ratio * N) rows, solves the shift-invariance
+    pencil on them as a generalized eigenvalue problem for the unit-circle
+    roots, merges conjugate pairs into K alias frequencies, and fits both
+    channels on the shared {cos, sin} support in one least-squares solve.
 
     With a known model order K the pencil reads nothing beyond those 2K
     vectors, so they come from a seeded one-power-step range finder
-    (:func:`_leading_subspace`) at a small fraction of a full SVD's cost; the
-    fixed seed keeps reruns byte-identical.  Automatic order selection looks
-    for a gap anywhere in the singular-value spectrum, so it takes the full
+    (:func:`_leading_subspace`) whose products are FFT correlations with the
+    signal, so the Hankel matrix is never formed; the fixed seed keeps reruns
+    byte-identical.  Automatic order selection looks for a gap anywhere in
+    the singular-value spectrum, so it builds the matrix and takes the full
     SVD.
 
     Returns a list of AliasedComponent sorted by alias frequency.
@@ -248,8 +264,6 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
     rows = min(max(rows, 2), n - 1)
     cols = n - rows + 1
 
-    hank = scipy.linalg.hankel(x[:rows], x[rows - 1 :])
-
     if cfg.model_order is not None:
         k = cfg.model_order
         if n < 4 * k + 2:
@@ -258,12 +272,13 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
             raise ValueError(
                 f"pencil_ratio {cfg.pencil_ratio} too small for model order {k}"
             )
-        u, s = _leading_subspace(hank, 2 * k)
+        u, s = _leading_subspace(x, rows, 2 * k)
         if s[2 * k - 1] < cfg.sv_threshold * s[0]:
             raise CollisionError(
                 f"rank below 2K = {2 * k}: coincident aliases or missing tones"
             )
     else:
+        hank = scipy.linalg.hankel(x[:rows], x[rows - 1 :])
         u, s, _ = scipy.linalg.svd(hank, full_matrices=False)
         k = _auto_order(s, cfg.sv_threshold)
 

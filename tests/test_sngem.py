@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,11 +44,13 @@ from subnyq.sngem import (
 )
 from subnyq.sngem import (
     _LATTICE_SLOTS_PER_POINT,
+    _RANGE_SEED,
     _channels,
     _gauss_newton,
     _grid_dtft,
     _leading_subspace,
     _sample_lattice,
+    _test_matrix_spectrum,
 )
 
 FS = 133e6
@@ -269,11 +272,56 @@ def test_range_finder_matches_full_svd_under_noise(count):
     rows = round(len(obs.x) / 3)
     hank = scipy.linalg.hankel(obs.x[:rows], obs.x[rows - 1 :])
     rank = 2 * count
-    u, s = _leading_subspace(hank, rank)
+    u, s = _leading_subspace(obs.x, rows, rank)
     u_full, s_full, _ = scipy.linalg.svd(hank, full_matrices=False)
     angles = scipy.linalg.subspace_angles(u[:, :rank], u_full[:, :rank])
     assert angles.max() <= 1e-2
     assert s[:rank] == pytest.approx(s_full[:rank], rel=2e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, 1100),
+    row_frac=st.floats(0.0, 1.0),
+    order=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1025, row_frac=0.0, order=1, seed=0)
+@example(n=1024, row_frac=1.0, order=4, seed=1)
+@example(n=9, row_frac=0.5, order=1, seed=2)
+def test_range_finder_products_match_dense_hankel(n, row_frac, order, seed):
+    # every QR input is a Hankel product of the previous QR's output (the
+    # first of the seeded test matrix): compare each with the dense product
+    rows = 2 + round(row_frac * (n - 3))
+    x = np.random.default_rng(seed).normal(size=n)
+    hank = scipy.linalg.hankel(x[:rows], x[rows - 1 :])
+    qr, calls = np.linalg.qr, []
+
+    def recording_qr(a):
+        calls.append((a, qr(a)))
+        return calls[-1][1]
+
+    with mock.patch.object(np.linalg, "qr", recording_qr):
+        _leading_subspace(x, rows, 2 * order)
+    (sketch, (q, _)), (projected, (z, _)), (power, _) = calls
+    omega = np.random.default_rng(_RANGE_SEED).standard_normal(
+        (n - rows + 1, sketch.shape[1])
+    )
+    for got, want in ((sketch, hank @ omega), (projected, hank.T @ q), (power, hank @ z)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cached_test_matrix_spectrum_is_read_only():
+    tones = [ToneParams(frequency=100e6, amplitude=1.0, phase=0.3)]
+    x = uniform_obs(tones).x
+    first = _leading_subspace(x, 341, 2)
+    assert not _test_matrix_spectrum(1024, 684, 10).flags.writeable
+    with pytest.raises(ValueError):
+        _test_matrix_spectrum(1024, 684, 10)[0, 0] = 0.0
+    _leading_subspace(uniform_obs(tones, n=513).x, 171, 6)
+    third = _leading_subspace(x, 341, 2)
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in third]
 
 
 def test_known_order_is_deterministic():
