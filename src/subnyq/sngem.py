@@ -194,8 +194,8 @@ def _auto_order(s, sv_threshold):
     return best_rank // 2
 
 
-@functools.lru_cache(maxsize=8)
-def _test_matrix_spectrum(n, cols, width):
+@functools.lru_cache(maxsize=16)  # 12 keys in use: K = 1 and K = 5..15 at N = 1024
+def _omega_spectrum(n, cols, width):
     """Read-only conj(rfft) of the seeded cols x width test matrix, padded to n."""
     omega = np.random.default_rng(_RANGE_SEED).standard_normal((cols, width))
     spectrum = np.fft.rfft(omega, n, axis=0).conj()
@@ -208,22 +208,17 @@ def _leading_subspace(x, rows, rank):
 
     Returns (u, s) with rank + _RANGE_OVERSAMPLE columns and values (capped
     at min(hank.shape)), in decreasing order like a truncated SVD.  One power
-    step in three products, each an exact FFT correlation with x (i + j < N
-    never wraps), gives hank ~ q r z^T without forming hank; the SVD of the
-    small square r yields the values and, through q, the vectors.  Every
-    product is re-orthonormalised so that values far below the largest
-    survive for the collision test; hank hank^T would square their ratio.
+    step in three exact FFT correlations with x (i + j < N never wraps) gives
+    hank ~ q r z^T; the SVD of the small square r yields the values and,
+    through q, the vectors.  Each product is re-orthonormalised so that small
+    values survive for the collision test; hank hank^T would square their ratio.
     """
     n, cols = len(x), len(x) - rows + 1
-    x_spectrum = np.fft.rfft(x)[:, None]
-
-    def hank_times(v_spectrum, length):  # hank @ v, or hank^T @ v by length
-        return np.fft.irfft(x_spectrum * v_spectrum, n, axis=0)[:length]
-
     width = min(rank + _RANGE_OVERSAMPLE, rows, cols)
-    q, _ = np.linalg.qr(hank_times(_test_matrix_spectrum(n, cols, width), rows))
-    z, _ = np.linalg.qr(hank_times(np.fft.rfft(q, n, axis=0).conj(), cols))
-    q, r = np.linalg.qr(hank_times(np.fft.rfft(z, n, axis=0).conj(), rows))
+    xf = np.fft.rfft(x)[:, None]  # hank @ v = irfft(xf * conj(rfft(v, n)), n)[:rows]
+    q, _ = np.linalg.qr(np.fft.irfft(xf * _omega_spectrum(n, cols, width), n, axis=0)[:rows])
+    z, _ = np.linalg.qr(np.fft.irfft(xf * np.fft.rfft(q, n, axis=0).conj(), n, axis=0)[:cols])
+    q, r = np.linalg.qr(np.fft.irfft(xf * np.fft.rfft(z, n, axis=0).conj(), n, axis=0)[:rows])
     u_small, s, _ = scipy.linalg.svd(r)
     return q @ u_small, s
 
@@ -239,11 +234,10 @@ def estimate_aliased_spectrum(obs: DualChannelObservation, cfg: EstimatorConfig)
 
     With a known model order K the pencil reads nothing beyond those 2K
     vectors, so they come from a seeded one-power-step range finder
-    (:func:`_leading_subspace`) whose products are FFT correlations with the
-    signal, so the Hankel matrix is never formed; the fixed seed keeps reruns
-    byte-identical.  Automatic order selection looks for a gap anywhere in
-    the singular-value spectrum, so it builds the matrix and takes the full
-    SVD.
+    (:func:`_leading_subspace`) that never forms the Hankel matrix; the fixed
+    seed keeps reruns byte-identical.  Automatic order selection looks for a
+    gap anywhere in the singular-value spectrum, so it builds the matrix and
+    takes the full SVD.
 
     Returns a list of AliasedComponent sorted by alias frequency.
 

@@ -50,7 +50,7 @@ from subnyq.sngem import (
     _grid_dtft,
     _leading_subspace,
     _sample_lattice,
-    _test_matrix_spectrum,
+    _omega_spectrum,
 )
 
 FS = 133e6
@@ -312,13 +312,13 @@ def test_range_finder_products_match_dense_hankel(n, row_frac, order, seed):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_cached_test_matrix_spectrum_is_read_only():
+def test_cached_omega_spectrum_is_read_only():
     tones = [ToneParams(frequency=100e6, amplitude=1.0, phase=0.3)]
     x = uniform_obs(tones).x
     first = _leading_subspace(x, 341, 2)
-    assert not _test_matrix_spectrum(1024, 684, 10).flags.writeable
+    assert not _omega_spectrum(1024, 684, 10).flags.writeable
     with pytest.raises(ValueError):
-        _test_matrix_spectrum(1024, 684, 10)[0, 0] = 0.0
+        _omega_spectrum(1024, 684, 10)[0, 0] = 0.0
     _leading_subspace(uniform_obs(tones, n=513).x, 171, 6)
     third = _leading_subspace(x, 341, 2)
     assert [a.tobytes() for a in first] == [a.tobytes() for a in third]
